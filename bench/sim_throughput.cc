@@ -1,25 +1,20 @@
 /**
  * @file
- * Events-per-second throughput of the discrete-event core (issue 10).
+ * Events-per-second throughput of the discrete-event core.
  *
- * Three sections, each reporting dispatched events, wall-clock time
+ * Two sections, each reporting dispatched events, wall-clock time
  * and events/second:
  *
  *   - worker:  a full WorkerServer run on fig14's largest machine
  *     (256 cores, 2 sockets, per-socket orchestrators) — the serial
- *     EventQueue with its calendar sub-queues on the hottest
- *     single-machine configuration the paper evaluates;
+ *     EventQueue on the hottest single-machine configuration the
+ *     paper evaluates;
  *   - cluster: a fleet run (8 servers, constant traffic at 70% of
- *     calibrated capacity) — the fleet DES plus per-server domains;
- *   - domains: the epoch-parallel DomainEngine on a synthetic
- *     256-tile nested-ccall workload, K=1 serial vs K=4 over a
- *     4-thread pool. The bench cross-checks that both runs produce
- *     bitwise-identical tile state, and the reported speedup is what
- *     the parallel-determinism CI job gates at 2x.
+ *     calibrated capacity) — the fleet DES.
  *
  * Unlike every other bench, the headline metric here is *host*
  * throughput: wall-clock is the measurement, never simulation input,
- * which is why the three timed regions carry D1 suppressions. The
+ * which is why the timed regions carry D1 suppressions. The
  * events_per_sec keys in BENCH_sim_throughput.json are direction-aware
  * in jordprof (higher is better), so the perf-gate only trips when the
  * event core gets slower.
@@ -29,12 +24,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/common.hh"
 #include "cluster/cluster.hh"
-#include "par/domains.hh"
 #include "par/par.hh"
 #include "stats/table.hh"
 #include "workloads/workloads.hh"
@@ -73,93 +67,6 @@ struct Throughput {
         return wallSec > 0 ? static_cast<double>(events) / wallSec : 0;
     }
 };
-
-/**
- * The domains section's workload: 256 tiles each owning a running
- * hash, events doing a fixed chunk of hash work then fanning out a
- * same-tile child at a short delay and a cross-tile child at a delay
- * no shorter than the engine lookahead (so the conservative contract
- * holds under any tile partition). Per-tile state makes the outcome
- * bitwise comparable across domain counts.
- */
-struct TileWorkload {
-    static constexpr sim::Tick kLookahead = 12;
-    /** Hash iterations per event: enough host work per event that the
-     * epoch barrier cost is amortized, small enough that K=1 stays in
-     * bench-scale wall time. */
-    static constexpr unsigned kWorkIters = 600;
-
-    unsigned numTiles;
-    unsigned domains;
-    std::vector<std::uint64_t> hash;
-
-    TileWorkload(unsigned tiles, unsigned k)
-        : numTiles(tiles), domains(k), hash(tiles, 0x9e3779b9u)
-    {
-    }
-
-    unsigned
-    domainOf(unsigned tile) const
-    {
-        return tile * domains / numTiles;
-    }
-
-    void
-    event(par::DomainEngine::Context &ctx, unsigned tile,
-          unsigned depth)
-    {
-        std::uint64_t &h = hash[tile];
-        h ^= ctx.now() * 0x100000001b3ull;
-        for (unsigned i = 0; i < kWorkIters; ++i)
-            h = (h ^ (h >> 33)) * 1099511628211ull;
-        if (depth == 0)
-            return;
-        ctx.scheduleAfter(
-            ctx.domain(), 1 + (h % 7),
-            [this, tile, depth](par::DomainEngine::Context &c) {
-                event(c, tile, depth - 1);
-            });
-        unsigned target = static_cast<unsigned>(h >> 8) % numTiles;
-        ctx.scheduleAfter(
-            domainOf(target), kLookahead + (h % 5),
-            [this, target, depth](par::DomainEngine::Context &c) {
-                event(c, target, depth - 1);
-            });
-    }
-};
-
-/** Run the tile workload under K domains; returns throughput and the
- * XOR-folded tile state for the cross-K identity check. */
-Throughput
-runTiles(unsigned domains, unsigned threads, unsigned depth,
-         std::uint64_t &digest_out)
-{
-    constexpr unsigned kTiles = 256;
-    TileWorkload wl(kTiles, domains);
-    par::DomainEngine::Config cfg;
-    cfg.domains = domains;
-    cfg.lookahead = TileWorkload::kLookahead;
-    par::ThreadPool pool(threads);
-    par::DomainEngine eng(cfg, threads > 1 ? &pool : nullptr);
-    // Seed every tile within one lookahead window so all domains are
-    // busy from the first epoch on.
-    for (unsigned t = 0; t < kTiles; ++t) {
-        unsigned tile = t;
-        eng.schedule(wl.domainOf(tile), 5 + (tile % 11),
-                     [&wl, tile, depth](par::DomainEngine::Context &c) {
-                         wl.event(c, tile, depth);
-                     });
-    }
-    auto t0 = wallNow();
-    eng.run();
-    Throughput tp;
-    tp.wallSec = wallSince(t0);
-    tp.events = eng.numDispatched();
-    digest_out = 0;
-    for (unsigned t = 0; t < kTiles; ++t)
-        digest_out ^= wl.hash[t] * (t + 1);
-    return tp;
-}
 
 } // namespace
 
@@ -201,26 +108,6 @@ main(int argc, char **argv)
     cluster_tp.wallSec = wallSince(t0);
     cluster_tp.events = fleet.eventQueue().numDispatched();
 
-    // --- domains: epoch-parallel engine, K=1 vs K=4 ----------------
-    unsigned depth = args.quick ? 6 : 8;
-    depth = static_cast<unsigned>(
-        sim::env::getU64("JORD_SIM_THROUGHPUT_DEPTH", depth));
-    std::uint64_t digest_k1 = 0, digest_k4 = 0;
-    Throughput k1 = runTiles(1, 1, depth, digest_k1);
-    Throughput k4 = runTiles(4, 4, depth, digest_k4);
-    if (digest_k1 != digest_k4)
-        sim::fatal("domain engine identity violation: K=1 digest "
-                   "%016llx != K=4 digest %016llx",
-                   static_cast<unsigned long long>(digest_k1),
-                   static_cast<unsigned long long>(digest_k4));
-    if (k1.events != k4.events)
-        sim::fatal("domain engine dispatched %llu events at K=1 but "
-                   "%llu at K=4",
-                   static_cast<unsigned long long>(k1.events),
-                   static_cast<unsigned long long>(k4.events));
-    double speedup =
-        k4.wallSec > 0 ? k1.wallSec / k4.wallSec : 0;
-
     bench::banner("Event-core throughput (events/second)");
 
     stats::Table table(
@@ -234,12 +121,7 @@ main(int argc, char **argv)
     };
     add_row("worker (256-core, 2-socket)", worker_tp);
     add_row("cluster (8 servers)", cluster_tp);
-    add_row("domains K=1 (serial)", k1);
-    add_row("domains K=4 (4 threads)", k4);
     std::printf("%s", table.render().c_str());
-    std::printf("\ndomains: K=4 speedup over K=1 is %.2fx "
-                "(identical tile state, %llu events each)\n",
-                speedup, static_cast<unsigned long long>(k1.events));
 
     std::map<std::string, double> json;
     json["sim_throughput.worker.events_per_sec"] =
@@ -250,13 +132,6 @@ main(int argc, char **argv)
         cluster_tp.eventsPerSec();
     json["counter.sim_throughput.cluster.events"] =
         static_cast<double>(cluster_tp.events);
-    json["sim_throughput.domains.k1.events_per_sec"] =
-        k1.eventsPerSec();
-    json["sim_throughput.domains.k4.events_per_sec"] =
-        k4.eventsPerSec();
-    // Host-dependent ratio: informational (not a jordprof gate); the
-    // parallel-determinism CI job asserts its own 2x bound on it.
-    json["sim_throughput.domains.speedup"] = speedup;
     bench::writeBenchJson(args.jsonPath, json);
     return 0;
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Byte-compare artifacts that must be identical regardless of --jobs
-# or --domains. Accepts one or more FILE_A FILE_B pairs and checks
-# every pair, so one invocation can gate a whole run's artifact set.
+# Byte-compare artifacts that must be identical: a run at --jobs 1
+# against the same run at --jobs N, or a committed results file
+# against what its bench prints today. Accepts one or more
+# FILE_A FILE_B pairs and checks every pair, so one invocation can
+# gate a whole run's artifact set.
 # On mismatch, print the first differing lines so the failure is
 # debuggable straight from the CI log.
 set -u

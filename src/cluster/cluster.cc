@@ -35,10 +35,6 @@ ClusterSim::ClusterSim(const ClusterConfig &cfg,
             sim::fatal("autoscale minServers %u > maxServers %u",
                        cfg_.autoscale.minServers, maxServers_);
     }
-    if (cfg_.numDomains == 0 || cfg_.numDomains > maxServers_)
-        sim::fatal("numDomains %u must be in [1, %u servers]",
-                   cfg_.numDomains, maxServers_);
-    events_.setDomains(cfg_.numDomains);
     sloUs_ = cfg_.sloUs > 0 ? cfg_.sloUs : 10.0 * model_.meanLatencyUs;
     warmupTicks_ = static_cast<sim::Tick>(
         static_cast<double>(source_.durationTicks()) *
@@ -250,8 +246,7 @@ ClusterSim::dispatchCopy(std::uint64_t id, unsigned copy,
             if (obs_)
                 obs_->onLinkDelay(events_.curTick(), id, s);
             c.state = CopyInFlight;
-            c.ev = events_.scheduleAfterOn(
-                serverDomain(s),
+            c.ev = events_.scheduleAfter(
                 sim::usToCycles(injector_.rates().linkDelayUs,
                                 freqGhz_),
                 [this, id, copy, s] {
@@ -342,8 +337,8 @@ ClusterSim::tryStart(std::uint32_t s)
         if (obs_)
             obs_->onStart(now, entry.id, entry.copy, s, req.tenant,
                           cold_us > 0);
-        c.ev = events_.scheduleAfterOn(
-            serverDomain(s), sim::usToCycles(service_us, freqGhz_),
+        c.ev = events_.scheduleAfter(
+            sim::usToCycles(service_us, freqGhz_),
             [this, id = entry.id, copy = entry.copy] {
                 copyCompleted(id, copy);
             });
@@ -634,8 +629,7 @@ ClusterSim::scheduleFaultEvents()
             for (std::uint32_t s = 0; s < maxServers_; ++s)
                 if (injector_.crashes(s, w)) {
                     double frac = injector_.crashOffset(s, w);
-                    events_.scheduleOn(
-                        serverDomain(s),
+                    events_.schedule(
                         w * windowTicks_ +
                             static_cast<sim::Tick>(
                                 frac * static_cast<double>(
@@ -651,8 +645,7 @@ ClusterSim::scheduleFaultEvents()
                       static_cast<double>(cfg_.numServers)));
         count = std::min(count, cfg_.numServers);
         for (std::uint32_t s = 0; s < count; ++s)
-            events_.scheduleOn(serverDomain(s), at,
-                               [this, s] { crashServer(s); });
+            events_.schedule(at, [this, s] { crashServer(s); });
     }
 }
 
@@ -719,9 +712,8 @@ ClusterSim::crashServer(std::uint32_t s)
         injector_.rates().recoverUsPerSlot *
             static_cast<double>(cfg_.coldStart.prewarm) *
             static_cast<double>(source_.numTenants());
-    events_.scheduleAfterOn(serverDomain(s),
-                            sim::usToCycles(recover_us, freqGhz_),
-                            [this, s] { restartServer(s); });
+    events_.scheduleAfter(sim::usToCycles(recover_us, freqGhz_),
+                          [this, s] { restartServer(s); });
 }
 
 void

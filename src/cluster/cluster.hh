@@ -172,15 +172,6 @@ struct ClusterConfig {
     double sloUs = 0;
     /** Leading fraction of the duration excluded from measurement. */
     double warmupFrac = 0.1;
-    /**
-     * Event-queue domains (issue 10): servers are split into this many
-     * contiguous ranges and every per-server event is tagged with its
-     * owner's domain (arrivals, LB and control-plane events stay in
-     * domain 0). Dispatch keeps the global deterministic order, so
-     * results are byte-identical at any value; must not exceed the
-     * fleet's maximum server count.
-     */
-    unsigned numDomains = 1;
     std::uint64_t seed = 42;
 };
 
@@ -419,16 +410,6 @@ class ClusterSim
     bool useView_ = false;
 
     sim::EventQueue events_;
-
-    /** Event-queue domain owning a server (issue 10 partitioning). */
-    unsigned
-    serverDomain(std::uint32_t server) const
-    {
-        if (cfg_.numDomains <= 1)
-            return 0;
-        return static_cast<unsigned>(server) * cfg_.numDomains /
-               maxServers_;
-    }
 
     TrafficSource source_;
     LoadBalancer lb_;

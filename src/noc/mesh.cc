@@ -1,6 +1,5 @@
 #include "noc/mesh.hh"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -78,23 +77,6 @@ Mesh::avgLatencyFrom(unsigned src, MsgKind kind) const
     for (unsigned t = 0; t < numTiles(); ++t)
         total += static_cast<double>(latency(src, t, kind));
     return total / static_cast<double>(numTiles());
-}
-
-sim::Tick
-Mesh::minCrossDomainLookahead(unsigned domains) const
-{
-    if (domains <= 1)
-        return sim::kTickMax;
-    sim::Tick best = sim::kTickMax;
-    for (unsigned src = 0; src < numTiles(); ++src) {
-        for (unsigned dst = 0; dst < numTiles(); ++dst) {
-            if (cfg_.domainOf(src, domains) == cfg_.domainOf(dst, domains))
-                continue;
-            best = std::min<sim::Tick>(best,
-                                       latency(src, dst, MsgKind::Control));
-        }
-    }
-    return best;
 }
 
 unsigned

@@ -84,16 +84,6 @@ class Mesh
     /** Flits needed for a message kind. */
     unsigned flits(MsgKind kind) const;
 
-    /**
-     * Minimum one-way control-message latency between any two tiles in
-     * *different* domains under MachineConfig::domainOf partitioning.
-     * This is the conservative lookahead for epoch-parallel execution:
-     * no event running in one domain can affect another domain sooner
-     * than this many cycles in the future. Returns kTickMax when
-     * @p domains <= 1 (no cross-domain pairs: unbounded lookahead).
-     */
-    sim::Tick minCrossDomainLookahead(unsigned domains) const;
-
     /** True if the two tiles live on different sockets. */
     bool
     crossSocket(unsigned a, unsigned b) const

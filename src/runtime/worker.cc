@@ -41,10 +41,6 @@ WorkerServer::WorkerServer(WorkerConfig cfg, FunctionRegistry registry)
       rng_(cfg_.seed)
 {
     const sim::MachineConfig &m = cfg_.machine;
-    if (cfg_.numDomains == 0 || cfg_.numDomains > m.numCores)
-        sim::fatal("numDomains %u must be in [1, %u cores]",
-                   cfg_.numDomains, m.numCores);
-    events_.setDomains(cfg_.numDomains);
     mesh_ = std::make_unique<noc::Mesh>(m);
     coherence_ = std::make_unique<mem::CoherenceEngine>(m, *mesh_);
 
@@ -332,12 +328,8 @@ WorkerServer::scheduleNextArrival()
     if (externalLeft_ == 0)
         return;
     --externalLeft_;
-    // The next arrival is handled by the current round-robin
-    // orchestrator (rrOrch_ advances as each arrival lands), so the
-    // event belongs to that orchestrator core's domain.
-    events_.scheduleAfterOn(coreDomain(orchs_[rrOrch_].core),
-                            arrivals_.nextGapCycles(rng_),
-                            [this] { onExternalArrival(); });
+    events_.scheduleAfter(arrivals_.nextGapCycles(rng_),
+                          [this] { onExternalArrival(); });
 }
 
 void
@@ -367,9 +359,8 @@ WorkerServer::onExternalArrival()
         req.deadline = events_.curTick() + timeoutCycles_;
         RequestId id = req.id;
         unsigned orch = req.orch;
-        deadlineEvents_[id] = events_.scheduleOn(
-            coreDomain(orchs_[orch].core), req.deadline,
-            [this, orch, id] { onDeadline(orch, id); });
+        deadlineEvents_[id] = events_.schedule(
+            req.deadline, [this, orch, id] { onDeadline(orch, id); });
     }
     orchEnqueue(req.orch, std::move(req));
     scheduleNextArrival();
@@ -626,25 +617,22 @@ WorkerServer::orchDispatchStep(unsigned orch)
                     // waiting parent: deliver a failed result instead
                     // of deadlocking its join.
                     RequestId parent = out.parent;
-                    events_.scheduleAfterOn(
-                        coreDomain(o.core), busy, [this, parent] {
-                            auto pit = live_.find(parent);
-                            if (pit == live_.end())
-                                sim::panic("pipe drop: parent vanished");
-                            onChildComplete(*pit->second,
-                                            ChildResult{0, 0, 0, true});
-                        });
+                    events_.scheduleAfter(busy, [this, parent] {
+                        auto pit = live_.find(parent);
+                        if (pit == live_.end())
+                            sim::panic("pipe drop: parent vanished");
+                        onChildComplete(*pit->second,
+                                        ChildResult{0, 0, 0, true});
+                    });
                 } else {
                     busy += settleFailedAttempt(std::move(out),
                                                 Outcome::Crashed, busy);
                 }
                 o.dispatching = true;
-                events_.scheduleAfterOn(
-                    coreDomain(o.core), std::max<Cycles>(busy, 1),
-                    [this, orch] {
-                        orchs_[orch].dispatching = false;
-                        orchDispatchStep(orch);
-                    });
+                events_.scheduleAfter(std::max<Cycles>(busy, 1), [this, orch] {
+                    orchs_[orch].dispatching = false;
+                    orchDispatchStep(orch);
+                });
                 return;
             }
 
@@ -686,9 +674,8 @@ WorkerServer::orchDispatchStep(unsigned orch)
             Cycles visible =
                 busy + mesh_->latency(o.core, e.core,
                                       noc::MsgKind::Control);
-            events_.scheduleAfterOn(
-                coreDomain(e.core), visible,
-                [this, chosen, r = std::move(out)]() mutable {
+            events_.scheduleAfter(
+                visible, [this, chosen, r = std::move(out)]() mutable {
                     execs_[chosen].queue.push_back(std::move(r));
                     execWake(chosen);
                 });
@@ -699,11 +686,10 @@ WorkerServer::orchDispatchStep(unsigned orch)
     if (!progressed)
         return;
     o.dispatching = true;
-    events_.scheduleAfterOn(coreDomain(o.core), std::max<Cycles>(busy, 1),
-                            [this, orch] {
-                                orchs_[orch].dispatching = false;
-                                orchDispatchStep(orch);
-                            });
+    events_.scheduleAfter(std::max<Cycles>(busy, 1), [this, orch] {
+        orchs_[orch].dispatching = false;
+        orchDispatchStep(orch);
+    });
 }
 
 // --- Executor ---------------------------------------------------------------
@@ -1037,10 +1023,9 @@ WorkerServer::issueChild(Invocation &inv, const CallSpec &call,
     Cycles when = offset + busy +
                   mesh_->latency(core, orchs_[orch].core,
                                  noc::MsgKind::Control);
-    events_.scheduleAfterOn(coreDomain(orchs_[orch].core), when,
-                            [this, orch, c = std::move(child)]() mutable {
-                                orchEnqueue(orch, std::move(c));
-                            });
+    events_.scheduleAfter(when, [this, orch, c = std::move(child)]() mutable {
+        orchEnqueue(orch, std::move(c));
+    });
     return busy;
 }
 
@@ -1537,25 +1522,22 @@ void
 WorkerServer::scheduleExecCompletion(unsigned exec, RequestId id,
                                      Cycles busy)
 {
-    events_.scheduleAfterOn(
-        coreDomain(coreOfExec(exec)), std::max<Cycles>(busy, 1),
-        [this, exec, id] {
-            ExecState &e = execs_[exec];
-            e.busy = false;
-            e.running = 0;
-            noteExecBusy(false);
-            auto it = live_.find(id);
-            if (it != live_.end() &&
-                it->second->state == InvState::Done) {
-                finishInvocation(*it->second);
-            } else {
-                // Suspended: free the JBSQ slot.
-                --e.outstanding;
-                markDirty(e);
-                orchDispatchStep(execs_[exec].orch);
-            }
-            execStep(exec);
-        });
+    events_.scheduleAfter(std::max<Cycles>(busy, 1), [this, exec, id] {
+        ExecState &e = execs_[exec];
+        e.busy = false;
+        e.running = 0;
+        noteExecBusy(false);
+        auto it = live_.find(id);
+        if (it != live_.end() && it->second->state == InvState::Done) {
+            finishInvocation(*it->second);
+        } else {
+            // Suspended: free the JBSQ slot.
+            --e.outstanding;
+            markDirty(e);
+            orchDispatchStep(execs_[exec].orch);
+        }
+        execStep(exec);
+    });
 }
 
 void
@@ -1621,14 +1603,12 @@ WorkerServer::finishInvocation(Invocation &inv)
                         kQueueOpCycles;
         live_.erase(inv.req.id);
         noteLiveInvocations();
-        events_.scheduleAfterOn(coreDomain(parent_core), notify,
-                                [this, parent, result] {
-                                    auto it = live_.find(parent);
-                                    if (it == live_.end())
-                                        sim::panic("parent vanished before "
-                                                   "child completion");
-                                    onChildComplete(*it->second, result);
-                                });
+        events_.scheduleAfter(notify, [this, parent, result] {
+            auto it = live_.find(parent);
+            if (it == live_.end())
+                sim::panic("parent vanished before child completion");
+            onChildComplete(*it->second, result);
+        });
     } else {
         unsigned orch = inv.req.orch;
         OrchState &o = orchs_[orch];
@@ -1636,11 +1616,10 @@ WorkerServer::finishInvocation(Invocation &inv)
                         mesh_->latency(core, o.core,
                                        noc::MsgKind::Control);
         RequestId id = inv.req.id;
-        events_.scheduleAfterOn(coreDomain(o.core), notify,
-                                [this, orch, id] {
-                                    orchs_[orch].completions.push_back(id);
-                                    orchDispatchStep(orch);
-                                });
+        events_.scheduleAfter(notify, [this, orch, id] {
+            orchs_[orch].completions.push_back(id);
+            orchDispatchStep(orch);
+        });
     }
     orchDispatchStep(e.orch);
 }
@@ -1867,9 +1846,8 @@ WorkerServer::settleFailedAttempt(Request req, Outcome outcome,
                               req.span, spanArgs(req));
         req.dispatchCycles = 0;
         unsigned target = req.orch;
-        events_.scheduleAfterOn(
-            coreDomain(orchs_[target].core), busy + delay,
-            [this, target, r = std::move(req)]() mutable {
+        events_.scheduleAfter(
+            busy + delay, [this, target, r = std::move(req)]() mutable {
                 orchEnqueue(target, std::move(r));
             });
         return 0;

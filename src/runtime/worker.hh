@@ -68,15 +68,6 @@ struct WorkerConfig {
     unsigned dispatchMlp = 8;
     /** Cap on ArgBuf cache blocks transferred per request (~15 avg). */
     unsigned argBlockCap = 32;
-    /**
-     * Event-queue domains for intra-run partitioning (issue 10): the
-     * machine's tiles are split into this many contiguous ranges and
-     * every event is tagged with the domain of the core it runs on.
-     * Dispatch stays in global deterministic order, so all simulated
-     * output is byte-identical at any value (1 = classic single queue;
-     * must not exceed the core count).
-     */
-    unsigned numDomains = 1;
     std::uint64_t seed = 42;
     baseline::PipeCosts pipeCosts;
     baseline::ProvisioningModel provisioning;
@@ -435,13 +426,6 @@ class WorkerServer : public prof::SampleSource
     sim::Cycles drawExec(const FunctionSpec &spec);
     void accountInvocation(Invocation &inv);
     unsigned coreOfExec(unsigned exec) const { return execs_[exec].core; }
-
-    /** Event-queue domain owning a core (issue 10 partitioning). */
-    unsigned
-    coreDomain(unsigned core) const
-    {
-        return cfg_.machine.domainOf(core, cfg_.numDomains);
-    }
 
     // --- Observability helpers (no-ops when hooks are detached) ---
     /** Emit a closed category span attributed to @p inv. */

@@ -11,11 +11,12 @@
  * O(1) amortized when the bucket width tracks the mean event gap,
  * against O(log n) heap compares for every operation.
  *
- * Determinism contract: pops come out in exactly the global
- * (when, seq) order of the EventQueue's binary-heap reference — the
- * lazy bucket sort uses the same key, and the near/far spill heaps
- * break ties identically — so replacing the storage cannot perturb a
- * single event interleaving (asserted by the byte-identity tests).
+ * Determinism contract: pops come out in exactly the (when, seq)
+ * order of the EventQueue's binary-heap reference — the lazy bucket
+ * sort uses the same key, and the near/far spill heaps break ties
+ * identically — so replacing the storage cannot perturb a single
+ * event interleaving (asserted by the byte-identity tests). The
+ * EventQueue keeps all pending events in one such queue.
  *
  * Bucket vectors are recycled through a small arena (freed buckets
  * park their capacity instead of returning it to the allocator), so a
@@ -49,9 +50,8 @@ struct EventRecord {
 };
 
 /** Strict weak order on the deterministic dispatch key. */
-template <typename Record>
 inline bool
-eventBefore(const Record &a, const Record &b)
+eventBefore(const EventRecord &a, const EventRecord &b)
 {
     if (a.when != b.when)
         return a.when < b.when;
@@ -60,10 +60,6 @@ eventBefore(const Record &a, const Record &b)
 
 /**
  * Time-bucketed event store with exact (when, seq) pop order.
- *
- * @tparam Record Any struct with `Tick when` and `std::uint64_t seq`
- *     key fields (EventRecord here, the epoch-parallel engine's
- *     richer record in par::DomainEngine).
  *
  * Structure: `nb` buckets of `width` ticks starting at `yearStart`
  * cover the current year. The current bucket is sorted descending and
@@ -75,18 +71,17 @@ eventBefore(const Record &a, const Record &b)
  * redistributes the far heap and retunes the bucket width to the
  * observed event span.
  */
-template <typename Record>
-class BasicCalendarQueue
+class CalendarQueue
 {
   public:
-    BasicCalendarQueue() { resize(kInitialBuckets, kInitialWidth, 0); }
+    CalendarQueue() { resize(kInitialBuckets, kInitialWidth, 0); }
 
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
 
     /** Insert an event; any `when` is legal (caller checks "past"). */
     void
-    push(Record rec)
+    push(EventRecord rec)
     {
         ++size_;
         if (rec.when >= yearEnd_) {
@@ -94,9 +89,9 @@ class BasicCalendarQueue
             std::push_heap(far_.begin(), far_.end(), FarGreater{});
             return;
         }
-        // Behind the calendar's base year: happens when this domain's
-        // calendar rolled ahead of global time (all its events were
-        // far-future) and a cross-domain push lands before the new
+        // Behind the calendar's base year: runUntil() peeks past its
+        // limit, the peek rolls the year forward to a far event, and a
+        // later schedule lands between the limit and the new
         // yearStart. bucketOf() would underflow, and the near heap
         // preserves exact order for anything at or behind the current
         // bucket anyway.
@@ -119,7 +114,7 @@ class BasicCalendarQueue
      * Non-const: advancing to the next non-empty bucket (and year
      * rollover) happens lazily here.
      */
-    const Record *
+    const EventRecord *
     peek()
     {
         if (size_ == 0)
@@ -132,11 +127,11 @@ class BasicCalendarQueue
     }
 
     /** Remove and return the next event; the queue must be non-empty. */
-    Record
+    EventRecord
     pop()
     {
-        const Record *next = peek();
-        Record out;
+        const EventRecord *next = peek();
+        EventRecord out;
         if (!near_.empty() && next == &near_.front()) {
             std::pop_heap(near_.begin(), near_.end(), FarGreater{});
             out = std::move(near_.back());
@@ -153,7 +148,7 @@ class BasicCalendarQueue
     void
     clear()
     {
-        for (std::vector<Record> &b : buckets_)
+        for (std::vector<EventRecord> &b : buckets_)
             recycle(b);
         recycle(cur_);
         near_.clear();
@@ -173,7 +168,7 @@ class BasicCalendarQueue
     /** Min-heap comparator (std heaps are max-heaps). */
     struct FarGreater {
         bool
-        operator()(const Record &a, const Record &b) const
+        operator()(const EventRecord &a, const EventRecord &b) const
         {
             return eventBefore(b, a);
         }
@@ -187,20 +182,20 @@ class BasicCalendarQueue
 
     /** Park a vector's capacity for reuse instead of freeing it. */
     void
-    recycle(std::vector<Record> &bucket)
+    recycle(std::vector<EventRecord> &bucket)
     {
         bucket.clear();
         if (bucket.capacity() > 0 && arena_.size() < buckets_.size())
             arena_.push_back(std::move(bucket));
-        bucket = std::vector<Record>();
+        bucket = std::vector<EventRecord>();
     }
 
-    std::vector<Record>
+    std::vector<EventRecord>
     takeFromArena()
     {
         if (arena_.empty())
             return {};
-        std::vector<Record> v = std::move(arena_.back());
+        std::vector<EventRecord> v = std::move(arena_.back());
         arena_.pop_back();
         return v;
     }
@@ -244,7 +239,7 @@ class BasicCalendarQueue
     sortCurrent()
     {
         std::sort(cur_.begin(), cur_.end(),
-                  [](const Record &a, const Record &b) {
+                  [](const EventRecord &a, const EventRecord &b) {
                       return eventBefore(b, a);
                   });
     }
@@ -267,7 +262,7 @@ class BasicCalendarQueue
                   size_);
         Tick lo = kTickMax;
         Tick hi = 0;
-        for (const Record &rec : far_) {
+        for (const EventRecord &rec : far_) {
             lo = std::min(lo, rec.when);
             hi = std::max(hi, rec.when);
         }
@@ -282,8 +277,8 @@ class BasicCalendarQueue
         curIdx_ = 0;
         recycle(cur_);
 
-        std::vector<Record> keep;
-        for (Record &rec : far_) {
+        std::vector<EventRecord> keep;
+        for (EventRecord &rec : far_) {
             if (rec.when >= yearEnd_) {
                 keep.push_back(std::move(rec));
                 continue;
@@ -299,24 +294,21 @@ class BasicCalendarQueue
         sortCurrent();
     }
 
-    std::vector<std::vector<Record>> buckets_;
+    std::vector<std::vector<EventRecord>> buckets_;
     /** Parked bucket capacity (the event-storage arena). */
-    std::vector<std::vector<Record>> arena_;
+    std::vector<std::vector<EventRecord>> arena_;
     /** Current bucket, sorted descending; drains from the back. */
-    std::vector<Record> cur_;
+    std::vector<EventRecord> cur_;
     /** Heap of events at/behind the current bucket (dense near-term). */
-    std::vector<Record> near_;
+    std::vector<EventRecord> near_;
     /** Heap of events beyond the current year. */
-    std::vector<Record> far_;
+    std::vector<EventRecord> far_;
     Tick width_ = kInitialWidth;
     Tick yearStart_ = 0;
     Tick yearEnd_ = 0;
     std::size_t curIdx_ = 0;
     std::size_t size_ = 0;
 };
-
-/** The EventQueue's storage: calendar queue over plain events. */
-using CalendarQueue = BasicCalendarQueue<EventRecord>;
 
 } // namespace jord::sim
 

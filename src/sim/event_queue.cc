@@ -4,55 +4,29 @@
 
 namespace jord::sim {
 
-void
-EventQueue::setDomains(unsigned n)
-{
-    if (n == 0)
-        panic("EventQueue::setDomains: need at least one domain");
-    if (size_ != 0)
-        panic("EventQueue::setDomains: cannot repartition %zu pending "
-              "events", size_);
-    domains_.clear();
-    domains_.resize(n);
-}
-
-std::size_t
-EventQueue::domainSize(unsigned domain) const
-{
-    if (domain >= domains_.size())
-        panic("EventQueue: domain %u out of range (have %zu)", domain,
-              domains_.size());
-    return domains_[domain].size();
-}
-
 std::uint64_t
-EventQueue::push(unsigned domain, Tick when, EventFn fn, bool daemon)
+EventQueue::push(Tick when, EventFn fn, bool daemon)
 {
     if (when < curTick_)
         panic("scheduling event in the past (when=%llu now=%llu)",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick_));
-    if (domain >= domains_.size())
-        panic("EventQueue: domain %u out of range (have %zu)", domain,
-              domains_.size());
     std::uint64_t handle = nextHandle_++;
     alive_.push_back(kPending);
-    domains_[domain].push(
-        EventRecord{when, nextSeq_++, handle, std::move(fn), daemon});
-    ++size_;
+    queue_.push(EventRecord{when, nextSeq_++, handle, std::move(fn), daemon});
     return handle;
 }
 
 std::uint64_t
-EventQueue::scheduleOn(unsigned domain, Tick when, EventFn fn)
+EventQueue::schedule(Tick when, EventFn fn)
 {
-    return push(domain, when, std::move(fn), false);
+    return push(when, std::move(fn), false);
 }
 
 std::uint64_t
-EventQueue::scheduleDaemonOn(unsigned domain, Tick when, EventFn fn)
+EventQueue::scheduleDaemon(Tick when, EventFn fn)
 {
-    return push(domain, when, std::move(fn), true);
+    return push(when, std::move(fn), true);
 }
 
 bool
@@ -93,28 +67,11 @@ EventQueue::cancel(std::uint64_t handle)
     return true;
 }
 
-const EventRecord *
-EventQueue::peekNext(unsigned &domain)
-{
-    const EventRecord *best = nullptr;
-    for (std::size_t i = 0; i < domains_.size(); ++i) {
-        const EventRecord *rec = domains_[i].peek();
-        if (rec != nullptr && (best == nullptr || eventBefore(*rec, *best))) {
-            best = rec;
-            domain = static_cast<unsigned>(i);
-        }
-    }
-    return best;
-}
-
 bool
 EventQueue::step()
 {
-    while (size_ != 0) {
-        unsigned domain = 0;
-        peekNext(domain);
-        EventRecord entry = domains_[domain].pop();
-        --size_;
+    while (!queue_.empty()) {
+        EventRecord entry = queue_.pop();
         if (isCancelled(entry.handle)) {
             forgetCancelled(entry.handle);
             continue;
@@ -141,13 +98,8 @@ EventQueue::run()
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    while (size_ != 0) {
-        unsigned domain = 0;
-        const EventRecord *next = peekNext(domain);
-        if (next->when > limit)
-            break;
+    while (!queue_.empty() && queue_.peek()->when <= limit)
         step();
-    }
     if (curTick_ < limit)
         curTick_ = limit;
     return curTick_;
@@ -156,13 +108,11 @@ EventQueue::runUntil(Tick limit)
 void
 EventQueue::reset()
 {
-    for (CalendarQueue &q : domains_)
-        q.clear();
+    queue_.clear();
     curTick_ = 0;
     lastWorkTick_ = 0;
     nextSeq_ = 0;
     numDispatched_ = 0;
-    size_ = 0;
     cancelled_.clear();
     alive_.clear();
     aliveBase_ = nextHandle_;

@@ -4,15 +4,7 @@
  *
  * Events scheduled at the same tick fire in insertion order (FIFO), which
  * together with the seeded RNG makes every simulation run bit-reproducible.
- *
- * Storage is a calendar queue per *domain* (see setDomains()): clients
- * that partition their simulated machine — worker cores, cluster
- * servers — tag each event with its owning domain so the pending set
- * is split into K independent sub-queues. Dispatch still follows the
- * single global (when, seq) order across all domains, so the
- * simulated outcome is byte-identical at any K; the split is what the
- * epoch-parallel engine (par::DomainEngine) and the per-domain
- * occupancy accessors build on.
+ * Pending events live in one calendar queue keyed by (when, seq).
  */
 
 #ifndef JORD_SIM_EVENT_QUEUE_HH
@@ -22,7 +14,6 @@
 #include <deque>
 #include <functional>
 #include <unordered_set>
-#include <vector>
 
 #include "sim/calendar_queue.hh"
 #include "sim/types.hh"
@@ -39,7 +30,7 @@ namespace jord::sim {
 class EventQueue
 {
   public:
-    EventQueue() : domains_(1) {}
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -47,34 +38,14 @@ class EventQueue
     /** Current simulated time in ticks. */
     Tick curTick() const { return curTick_; }
 
-    /** Number of pending events across all domains. */
-    std::size_t size() const { return size_; }
+    /** Number of pending events. */
+    std::size_t size() const { return queue_.size(); }
 
     /** True when no events are pending. */
-    bool empty() const { return size_ == 0; }
+    bool empty() const { return queue_.empty(); }
 
     /** Total number of events dispatched so far. */
     std::uint64_t numDispatched() const { return numDispatched_; }
-
-    /**
-     * Partition the pending set into @p n independent sub-queues.
-     *
-     * Must be called while the queue is empty (panics otherwise): a
-     * repartition would have to rehash every pending event. Events
-     * keep firing in global (when, seq) order regardless of n;
-     * reset() preserves the partition.
-     */
-    void setDomains(unsigned n);
-
-    /** Number of event sub-queues (>= 1). */
-    unsigned
-    numDomains() const
-    {
-        return static_cast<unsigned>(domains_.size());
-    }
-
-    /** Pending events in one domain's sub-queue. */
-    std::size_t domainSize(unsigned domain) const;
 
     /**
      * Schedule a callback at an absolute tick.
@@ -83,11 +54,7 @@ class EventQueue
      * @param fn Callback to invoke.
      * @return A handle that can be passed to cancel().
      */
-    std::uint64_t
-    schedule(Tick when, EventFn fn)
-    {
-        return scheduleOn(0, when, std::move(fn));
-    }
+    std::uint64_t schedule(Tick when, EventFn fn);
 
     /** Schedule a callback @p delay ticks after the current time. */
     std::uint64_t
@@ -96,36 +63,19 @@ class EventQueue
         return schedule(curTick_ + delay, std::move(fn));
     }
 
-    /** schedule() into a specific domain's sub-queue. */
-    std::uint64_t scheduleOn(unsigned domain, Tick when, EventFn fn);
-
-    /** scheduleAfter() into a specific domain's sub-queue. */
-    std::uint64_t
-    scheduleAfterOn(unsigned domain, Cycles delay, EventFn fn)
-    {
-        return scheduleOn(domain, curTick_ + delay, std::move(fn));
-    }
-
     /**
      * Schedule a *daemon* callback: observer events (the sampling
      * profiler) that must not count as simulated work. Daemon events
      * fire like regular events but do not advance lastWorkTick(), so
      * a trailing daemon event cannot stretch a run's measured window.
      */
-    std::uint64_t
-    scheduleDaemon(Tick when, EventFn fn)
-    {
-        return scheduleDaemonOn(0, when, std::move(fn));
-    }
+    std::uint64_t scheduleDaemon(Tick when, EventFn fn);
 
     std::uint64_t
     scheduleDaemonAfter(Cycles delay, EventFn fn)
     {
         return scheduleDaemon(curTick_ + delay, std::move(fn));
     }
-
-    /** scheduleDaemon() into a specific domain's sub-queue. */
-    std::uint64_t scheduleDaemonOn(unsigned domain, Tick when, EventFn fn);
 
     /** Tick of the most recently dispatched non-daemon event. */
     Tick lastWorkTick() const { return lastWorkTick_; }
@@ -173,19 +123,16 @@ class EventQueue
     static constexpr unsigned char kPending = 1;
     static constexpr unsigned char kDone = 0;
 
-    std::uint64_t push(unsigned domain, Tick when, EventFn fn, bool daemon);
-    /** Min (when, seq) entry across domains, or nullptr when empty. */
-    const EventRecord *peekNext(unsigned &domain);
+    std::uint64_t push(Tick when, EventFn fn, bool daemon);
     /** Mark a handle fired/cancelled and trim the liveness window. */
     void retire(std::uint64_t handle);
 
-    std::vector<CalendarQueue> domains_;
+    CalendarQueue queue_;
     Tick curTick_ = 0;
     Tick lastWorkTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t nextHandle_ = 1;
     std::uint64_t numDispatched_ = 0;
-    std::size_t size_ = 0;
     /**
      * Handles cancelled while still queued (lazy deletion). The
      * dense liveness window below guarantees only *pending* handles

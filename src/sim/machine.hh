@@ -97,21 +97,6 @@ struct MachineConfig {
         return core / coresPerSocket();
     }
 
-    /**
-     * Event-execution domain owning a core when the machine's tiles
-     * are partitioned into @p domains contiguous ranges for intra-run
-     * parallel simulation. Contiguous ranges keep mesh neighbours —
-     * and, when @p domains divides numSockets, whole sockets —
-     * together, which maximizes the cross-domain NoC lookahead.
-     */
-    unsigned
-    domainOf(unsigned core, unsigned domains) const
-    {
-        if (domains <= 1 || numCores == 0)
-            return 0;
-        return core * domains / numCores;
-    }
-
     /** Scale factor applied to instruction-execution latency components. */
     double
     swLatencyScale() const

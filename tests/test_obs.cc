@@ -21,6 +21,7 @@
 #include "obs/monitor.hh"
 #include "obs/obs.hh"
 #include "prof/profile_json.hh"
+#include "tests/tmp_path.hh"
 #include "trace/export.hh"
 #include "trace/metrics.hh"
 
@@ -408,7 +409,7 @@ obsRun(const std::string &base, const std::string &extra)
 
 TEST(ObsCorrelation, GrayServerIsDetectedAndCleanRunStaysSilent)
 {
-    std::string gray = testing::TempDir() + "jord_obs_gray";
+    std::string gray = test::tmpPath("obs_gray");
     ASSERT_EQ(run(obsRun(
                   gray,
                   "--fault-plan 'cluster:gray_server=1,grayx=20'")),
@@ -426,7 +427,7 @@ TEST(ObsCorrelation, GrayServerIsDetectedAndCleanRunStaysSilent)
 
     // The same seed without the fault plan: no incidents, no alerts,
     // zero false positives.
-    std::string clean = testing::TempDir() + "jord_obs_clean";
+    std::string clean = test::tmpPath("obs_clean");
     ASSERT_EQ(run(obsRun(clean, "")), 0);
     std::map<std::string, double> silent = jordmonSummary(clean);
     EXPECT_EQ(silent.at("mon.incidents"), 0.0);
@@ -436,7 +437,7 @@ TEST(ObsCorrelation, GrayServerIsDetectedAndCleanRunStaysSilent)
 
 TEST(ObsCorrelation, CrashTtrStaysInsideTheRestartEnvelope)
 {
-    std::string base = testing::TempDir() + "jord_obs_crash";
+    std::string base = test::tmpPath("obs_crash");
     ASSERT_EQ(
         run(obsRun(base,
                    "--fault-plan 'cluster:crash_at_ms=1,"

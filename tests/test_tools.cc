@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,10 +22,13 @@
 #include <sstream>
 #include <string>
 
+#include "tests/tmp_path.hh"
 #include "trace/export.hh"
 #include "trace/trace.hh"
 
 namespace {
+
+using jord::test::tmpPath;
 
 std::string
 shellQuote(const std::string &s)
@@ -60,12 +62,6 @@ spit(const std::string &path, const std::string &content)
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(static_cast<bool>(out)) << path;
     out << content;
-}
-
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + "jord_tools_" + name;
 }
 
 const std::string kJordsim = JORD_JORDSIM_BIN;
@@ -300,8 +296,7 @@ int
 runCapture(const std::string &cmd, std::string &out)
 {
     static int seq = 0;
-    std::string path = tmpPath("capture_" + std::to_string(getpid()) +
-                               "_" + std::to_string(seq++) + ".txt");
+    std::string path = tmpPath("capture_" + std::to_string(seq++) + ".txt");
     int status = std::system(
         (cmd + " > " + shellQuote(path) + " 2>&1").c_str());
     out = slurp(path);

@@ -14,6 +14,7 @@
 #include <stdexcept>
 
 #include "runtime/worker.hh"
+#include "tests/tmp_path.hh"
 #include "trace/breakdown.hh"
 #include "trace/export.hh"
 #include "trace/integrity.hh"
@@ -312,7 +313,7 @@ TEST(TraceIntegrity, CompleteButEmptyTraceIsAcceptedTruncationIsNot)
     // records, closing sentinel. That must pass the integrity check.
     trace::Tracer tracer;
     std::string json = trace::chromeTraceJson(tracer);
-    std::string path = testing::TempDir() + "jord_empty_trace.json";
+    std::string path = test::tmpPath("empty_trace.json");
     {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(static_cast<bool>(out));
@@ -320,14 +321,14 @@ TEST(TraceIntegrity, CompleteButEmptyTraceIsAcceptedTruncationIsNot)
     }
     trace::requireCompleteTraceFile(path);
 
-    std::string trunc = testing::TempDir() + "jord_trunc_trace.json";
+    std::string trunc = test::tmpPath("trunc_trace.json");
     {
         std::ofstream out(trunc, std::ios::binary);
         out << json.substr(0, json.size() / 2);
     }
     EXPECT_DEATH(trace::requireCompleteTraceFile(trunc), "truncated");
 
-    std::string zero = testing::TempDir() + "jord_zero_trace.json";
+    std::string zero = test::tmpPath("zero_trace.json");
     {
         std::ofstream out(zero, std::ios::binary);
     }

@@ -21,13 +21,11 @@
  * regress when they grow. Exits 1 on a regression past the threshold.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,59 +34,31 @@
 #include "sim/logging.hh"
 
 using namespace jord;
+using prof::contains;
 
 namespace {
 
-std::map<std::string, double>
-loadFlatJson(const std::string &path)
+/**
+ * jordmon's gate: detect latency, TTR, burn and unmatched alerts, all
+ * lower-is-better.
+ */
+std::optional<double>
+regression(const std::string &key, double old_value, double new_value)
 {
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("cannot open '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
-    if (text.find_first_not_of(" \t\r\n") == std::string::npos)
-        sim::fatal("'%s' is empty, not a jordmon JSON summary",
-                   path.c_str());
-    std::map<std::string, double> kv;
-    if (!prof::parseFlatJson(text, kv))
-        sim::fatal("'%s' is not a flat {\"key\": number} JSON object "
-                   "(truncated file?)",
-                   path.c_str());
-    return kv;
-}
-
-bool
-contains(const std::string &key, const char *needle)
-{
-    return key.find(needle) != std::string::npos;
-}
-
-/** Keys that gate a diff — all lower-is-better here. */
-bool
-isGatingMetric(const std::string &key)
-{
-    return contains(key, "ttr") || contains(key, "detect") ||
-           contains(key, "burn") || contains(key, "unmatched");
-}
-
-double
-parseThreshold(const std::string &spec)
-{
-    char *end = nullptr;
-    double value = std::strtod(spec.c_str(), &end);
-    if (end == spec.c_str() || value < 0)
-        sim::fatal("--threshold expects a fraction ('0.1') or a "
-                   "percentage ('10%%'), got '%s'",
-                   spec.c_str());
-    if (*end == '%')
-        value /= 100.0;
-    else if (*end != '\0')
-        sim::fatal("--threshold expects a fraction ('0.1') or a "
-                   "percentage ('10%%'), got '%s'",
-                   spec.c_str());
-    return value;
+    if (!contains(key, "ttr") && !contains(key, "detect") &&
+        !contains(key, "burn") && !contains(key, "unmatched"))
+        return std::nullopt;
+    if (contains(key, "detect") && (old_value < 0 || new_value < 0)) {
+        // detect_us = -1 means "never detected": losing detection is
+        // the regression, gaining it the improvement.
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        if (old_value < 0 && new_value >= 0)
+            return -kInf;
+        if (old_value >= 0 && new_value < 0)
+            return kInf;
+        return 0.0;
+    }
+    return prof::relativeRegression(old_value, new_value, false);
 }
 
 int
@@ -133,67 +103,6 @@ cmdReport(const std::string &base, double slack_us,
                      heatmap_out.c_str());
     }
     return 0;
-}
-
-int
-cmdDiff(const std::string &old_path, const std::string &new_path,
-        double threshold)
-{
-    auto old_kv = loadFlatJson(old_path);
-    auto new_kv = loadFlatJson(new_path);
-
-    unsigned regressions = 0, improvements = 0, compared = 0;
-    for (const auto &[key, old_value] : old_kv) {
-        auto it = new_kv.find(key);
-        if (it == new_kv.end()) {
-            std::printf("  %-24s only in %s\n", key.c_str(),
-                        old_path.c_str());
-            continue;
-        }
-        double new_value = it->second;
-        if (!isGatingMetric(key))
-            continue;
-        ++compared;
-        double delta;
-        if (contains(key, "detect") &&
-            (old_value < 0 || new_value < 0)) {
-            // detect_us = -1 means "never detected": losing detection
-            // is the regression, gaining it the improvement.
-            delta = old_value < 0 && new_value >= 0
-                        ? -std::numeric_limits<double>::infinity()
-                    : old_value >= 0 && new_value < 0
-                        ? std::numeric_limits<double>::infinity()
-                        : 0;
-        } else if (old_value != 0) {
-            delta = (new_value - old_value) / std::fabs(old_value);
-        } else {
-            // A zero baseline (clean run, zero burn) regresses on any
-            // nonzero new value.
-            delta = new_value != 0
-                        ? std::numeric_limits<double>::infinity()
-                        : 0;
-        }
-        const char *mark = " ";
-        if (delta > threshold) {
-            mark = "!";
-            ++regressions;
-        } else if (delta < -threshold) {
-            mark = "+";
-            ++improvements;
-        }
-        std::printf("%s %-24s %12.6g -> %-12.6g\n", mark, key.c_str(),
-                    old_value, new_value);
-    }
-    for (const auto &[key, value] : new_kv)
-        if (!old_kv.count(key))
-            std::printf("  %-24s only in %s\n", key.c_str(),
-                        new_path.c_str());
-
-    std::printf("%u metrics compared, %u regressed, %u improved "
-                "(threshold %.1f%%)\n",
-                compared, regressions, improvements,
-                100.0 * threshold);
-    return regressions ? 1 : 0;
 }
 
 void
@@ -265,28 +174,7 @@ main(int argc, char **argv)
                        slack_us);
         return cmdReport(base, slack_us, json_out, heatmap_out);
     }
-    if (cmd == "diff") {
-        std::vector<std::string> files;
-        double threshold = 0.10;
-        for (int i = 2; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg.rfind("--threshold", 0) == 0) {
-                std::string spec;
-                if (std::size_t eq = arg.find('=');
-                    eq != std::string::npos)
-                    spec = arg.substr(eq + 1);
-                else if (i + 1 < argc)
-                    spec = argv[++i];
-                else
-                    sim::fatal("--threshold requires a value");
-                threshold = parseThreshold(spec);
-            } else {
-                files.push_back(arg);
-            }
-        }
-        if (files.size() != 2)
-            sim::fatal("diff expects OLD.json NEW.json");
-        return cmdDiff(files[0], files[1], threshold);
-    }
+    if (cmd == "diff")
+        return prof::diffCommand({argv + 2, argv + argc}, regression);
     sim::fatal("unknown subcommand '%s' (report|diff)", cmd.c_str());
 }

@@ -16,13 +16,8 @@
  * are reported for context but never gate.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <limits>
-#include <map>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,34 +25,9 @@
 #include "sim/logging.hh"
 
 using namespace jord;
+using prof::contains;
 
 namespace {
-
-std::map<std::string, double>
-loadFlatJson(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("cannot open '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
-    if (text.find_first_not_of(" \t\r\n") == std::string::npos)
-        sim::fatal("'%s' is empty, not a profile/bench JSON",
-                   path.c_str());
-    std::map<std::string, double> kv;
-    if (!prof::parseFlatJson(text, kv))
-        sim::fatal("'%s' is not a flat {\"key\": number} JSON object "
-                   "(truncated file?)",
-                   path.c_str());
-    return kv;
-}
-
-bool
-contains(const std::string &key, const char *needle)
-{
-    return key.find(needle) != std::string::npos;
-}
 
 /** Throughput-style metric: a decrease is the regression. */
 bool
@@ -88,28 +58,20 @@ isGatingMetric(const std::string &key)
     return false;
 }
 
-double
-parseThreshold(const std::string &spec)
+/** jordprof's gate: latency keys regress upward, throughput downward. */
+std::optional<double>
+regression(const std::string &key, double old_value, double new_value)
 {
-    char *end = nullptr;
-    double value = std::strtod(spec.c_str(), &end);
-    if (end == spec.c_str() || value < 0)
-        sim::fatal("--threshold expects a fraction ('0.1') or a "
-                   "percentage ('10%%'), got '%s'",
-                   spec.c_str());
-    if (*end == '%')
-        value /= 100.0;
-    else if (*end != '\0')
-        sim::fatal("--threshold expects a fraction ('0.1') or a "
-                   "percentage ('10%%'), got '%s'",
-                   spec.c_str());
-    return value;
+    if (!isGatingMetric(key))
+        return std::nullopt;
+    return prof::relativeRegression(old_value, new_value,
+                                    higherIsBetter(key));
 }
 
 int
 cmdReport(const std::string &path)
 {
-    auto kv = loadFlatJson(path);
+    auto kv = prof::loadFlatJson(path);
     std::printf("%s (%zu keys)\n", path.c_str(), kv.size());
     std::string group;
     for (const auto &[key, value] : kv) {
@@ -123,65 +85,6 @@ cmdReport(const std::string &path)
         std::printf("  %-28s %.6g\n", key.c_str(), value);
     }
     return 0;
-}
-
-int
-cmdDiff(const std::string &old_path, const std::string &new_path,
-        double threshold)
-{
-    auto old_kv = loadFlatJson(old_path);
-    auto new_kv = loadFlatJson(new_path);
-
-    unsigned regressions = 0, improvements = 0, compared = 0;
-    for (const auto &[key, old_value] : old_kv) {
-        auto it = new_kv.find(key);
-        if (it == new_kv.end()) {
-            std::printf("  %-28s only in %s\n", key.c_str(),
-                        old_path.c_str());
-            continue;
-        }
-        double new_value = it->second;
-        if (!isGatingMetric(key))
-            continue;
-        ++compared;
-        // Relative change in the "worse" direction; an old value of
-        // zero cannot regress relatively (a nonzero new latency on a
-        // zero baseline is flagged absolutely).
-        double delta;
-        if (old_value != 0) {
-            delta = (new_value - old_value) / std::fabs(old_value);
-            if (higherIsBetter(key))
-                delta = -delta;
-        } else {
-            delta = new_value != 0 && !higherIsBetter(key)
-                        ? std::numeric_limits<double>::infinity()
-                        : 0;
-        }
-        const char *mark = " ";
-        if (delta > threshold) {
-            mark = "!";
-            ++regressions;
-        } else if (delta < -threshold) {
-            mark = "+";
-            ++improvements;
-        }
-        std::printf("%s %-28s %12.6g -> %-12.6g (%+.1f%%)\n", mark,
-                    key.c_str(), old_value, new_value,
-                    100.0 * (old_value != 0
-                                 ? (new_value - old_value) /
-                                       std::fabs(old_value)
-                                 : 0.0));
-    }
-    for (const auto &[key, value] : new_kv)
-        if (!old_kv.count(key))
-            std::printf("  %-28s only in %s\n", key.c_str(),
-                        new_path.c_str());
-
-    std::printf("%u metrics compared, %u regressed, %u improved "
-                "(threshold %.1f%%)\n",
-                compared, regressions, improvements,
-                100.0 * threshold);
-    return regressions ? 1 : 0;
 }
 
 void
@@ -217,28 +120,7 @@ main(int argc, char **argv)
             sim::fatal("report expects exactly one FILE.json");
         return cmdReport(argv[2]);
     }
-    if (cmd == "diff") {
-        std::vector<std::string> files;
-        double threshold = 0.10;
-        for (int i = 2; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg.rfind("--threshold", 0) == 0) {
-                std::string spec;
-                if (std::size_t eq = arg.find('=');
-                    eq != std::string::npos)
-                    spec = arg.substr(eq + 1);
-                else if (i + 1 < argc)
-                    spec = argv[++i];
-                else
-                    sim::fatal("--threshold requires a value");
-                threshold = parseThreshold(spec);
-            } else {
-                files.push_back(arg);
-            }
-        }
-        if (files.size() != 2)
-            sim::fatal("diff expects OLD.json NEW.json");
-        return cmdDiff(files[0], files[1], threshold);
-    }
+    if (cmd == "diff")
+        return prof::diffCommand({argv + 2, argv + argc}, regression);
     sim::fatal("unknown subcommand '%s' (report|diff)", cmd.c_str());
 }

@@ -71,7 +71,6 @@ struct Options {
     unsigned cores = 32;
     unsigned sockets = 1;
     unsigned orchestrators = 4;
-    unsigned domains = 1;
     std::uint64_t seed = 42;
     bool csv = false;
     bool sweep = false;
@@ -227,10 +226,6 @@ printUsage()
         "                    (default 1)\n"
         "  --orchestrators N   orchestrator threads"
         "            (default 4)\n"
-        "  --domains N         partition the event queue into N\n"
-        "                      per-domain sub-queues (worker: by core;\n"
-        "                      --cluster: by server). Output is byte-\n"
-        "                      identical at any N. (default 1)\n"
         "  --seed N            RNG seed"
         "                        (default 42)\n"
         "\n"
@@ -347,9 +342,6 @@ parseArgs(int argc, char **argv)
                 std::strtoul(value().c_str(), nullptr, 10));
         else if (flag == "--orchestrators")
             opt.orchestrators = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        else if (flag == "--domains")
-            opt.domains = static_cast<unsigned>(
                 std::strtoul(value().c_str(), nullptr, 10));
         else if (flag == "--seed")
             opt.seed = std::strtoull(value().c_str(), nullptr, 10);
@@ -520,7 +512,6 @@ makeWorkerConfig(const Options &opt)
         cfg.machine = sim::MachineConfig::scaled(opt.cores, opt.sockets);
     cfg.system = parseSystem(opt.system);
     cfg.numOrchestrators = opt.orchestrators;
-    cfg.numDomains = opt.domains;
     cfg.seed = opt.seed;
     if (!opt.faultPlan.empty())
         cfg.faultPlan = fault::FaultPlan::parse(opt.faultPlan);
@@ -762,14 +753,9 @@ runCluster(const Options &opt, par::ThreadPool *pool)
     // --shed-cap is the *fleet-level* admission cap here; the
     // calibration runs measure the server itself unshedded.
     cfg.worker.shedCap = 0;
-    // --domains partitions the *fleet* event queue by server; the
-    // calibration worker runs serial (and its core count need not
-    // admit the fleet's domain count).
-    cfg.worker.numDomains = 1;
     cfg.serverQueueCap = static_cast<std::uint32_t>(opt.shedCap);
     cfg.calibration.requests = opt.requests;
     cfg.numServers = opt.cluster;
-    cfg.numDomains = opt.domains;
     cfg.lb = cluster::parseLbPolicy(opt.lb);
     cfg.traffic = cluster::TrafficConfig::parse(opt.traffic);
     cfg.traffic.mrps = opt.mrps;
