@@ -16,34 +16,107 @@ CoherenceEngine::CoherenceEngine(const sim::MachineConfig &cfg,
 {
 }
 
+bool
+CoherenceEngine::CoreL1::touch(Addr addr)
+{
+    const std::uint32_t *node = index_.find(addr);
+    if (!node)
+        return false;
+    if (*node != head_) {
+        unlink(*node);
+        link(*node);
+    }
+    return true;
+}
+
+void
+CoherenceEngine::CoreL1::pushFront(Addr addr)
+{
+    std::uint32_t node = free_;
+    if (node != kNil) {
+        free_ = nodes_[node].next;
+    } else {
+        node = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+    }
+    nodes_[node].addr = addr;
+    link(node);
+    index_[addr] = node;
+}
+
+Addr
+CoherenceEngine::CoreL1::popBack()
+{
+    Addr addr = nodes_[tail_].addr;
+    erase(addr);
+    return addr;
+}
+
+void
+CoherenceEngine::CoreL1::erase(Addr addr)
+{
+    if (std::optional<std::uint32_t> node = index_.erase(addr)) {
+        unlink(*node);
+        release(*node);
+    }
+}
+
+void
+CoherenceEngine::CoreL1::clear()
+{
+    nodes_.clear();
+    index_.clear();
+    head_ = tail_ = free_ = kNil;
+}
+
+void
+CoherenceEngine::CoreL1::link(std::uint32_t node)
+{
+    nodes_[node].prev = kNil;
+    nodes_[node].next = head_;
+    if (head_ != kNil)
+        nodes_[head_].prev = node;
+    else
+        tail_ = node;
+    head_ = node;
+}
+
+void
+CoherenceEngine::CoreL1::unlink(std::uint32_t node)
+{
+    const Node &n = nodes_[node];
+    if (n.prev != kNil)
+        nodes_[n.prev].next = n.next;
+    else
+        head_ = n.next;
+    if (n.next != kNil)
+        nodes_[n.next].prev = n.prev;
+    else
+        tail_ = n.prev;
+}
+
+void
+CoherenceEngine::CoreL1::release(std::uint32_t node)
+{
+    nodes_[node].next = free_;
+    free_ = node;
+}
+
 void
 CoherenceEngine::touchL1(unsigned core, Addr addr)
 {
     CoreL1 &l1 = l1s_[core];
-    auto it = l1.map.find(addr);
-    if (it != l1.map.end()) {
-        l1.lru.splice(l1.lru.begin(), l1.lru, it->second);
+    if (l1.touch(addr))
         return;
-    }
-    l1.lru.push_front(addr);
-    l1.map[addr] = l1.lru.begin();
-    while (l1.map.size() > cfg_.l1Lines) {
-        Addr victim = l1.lru.back();
-        l1.lru.pop_back();
-        l1.map.erase(victim);
-        evictL1(core, victim);
-    }
+    l1.pushFront(addr);
+    while (l1.size() > cfg_.l1Lines)
+        evictL1(core, l1.popBack());
 }
 
 void
 CoherenceEngine::dropFromL1(unsigned core, Addr addr)
 {
-    CoreL1 &l1 = l1s_[core];
-    auto it = l1.map.find(addr);
-    if (it == l1.map.end())
-        return;
-    l1.lru.erase(it->second);
-    l1.map.erase(it);
+    l1s_[core].erase(addr);
 }
 
 CoherenceEngine::Line &
@@ -55,22 +128,22 @@ CoherenceEngine::lineFor(Addr addr)
 CacheState
 CoherenceEngine::stateOf(Addr addr) const
 {
-    auto it = lines_.find(sim::blockAlign(addr));
-    return it == lines_.end() ? CacheState::Invalid : it->second.state;
+    const Line *line = lines_.find(sim::blockAlign(addr));
+    return line ? line->state : CacheState::Invalid;
 }
 
 bool
 CoherenceEngine::cachedIn(unsigned core, Addr addr) const
 {
-    auto it = lines_.find(sim::blockAlign(addr));
-    return it != lines_.end() && it->second.sharers.test(core);
+    const Line *line = lines_.find(sim::blockAlign(addr));
+    return line && line->sharers.test(core);
 }
 
 CoreMask
 CoherenceEngine::sharersOf(Addr addr) const
 {
-    auto it = lines_.find(sim::blockAlign(addr));
-    return it == lines_.end() ? CoreMask{} : it->second.sharers;
+    const Line *line = lines_.find(sim::blockAlign(addr));
+    return line ? line->sharers : CoreMask{};
 }
 
 Cycles
@@ -303,11 +376,10 @@ CoherenceEngine::atomic(unsigned core, Addr addr)
 void
 CoherenceEngine::evictL1(unsigned core, Addr addr)
 {
-    addr = sim::blockAlign(addr);
-    auto it = lines_.find(addr);
-    if (it == lines_.end())
+    Line *found = lines_.find(sim::blockAlign(addr));
+    if (!found)
         return;
-    Line &line = it->second;
+    Line &line = *found;
     if (!line.sharers.test(core))
         return;
     line.sharers.clear(core);
@@ -327,22 +399,20 @@ void
 CoherenceEngine::evictDirectory(Addr addr)
 {
     addr = sim::blockAlign(addr);
-    auto it = lines_.find(addr);
-    if (it == lines_.end())
+    const Line *line = lines_.find(addr);
+    if (!line)
         return;
     if (observer_)
-        observer_->directoryEvict(addr, it->second.sharers);
-    lines_.erase(it);
+        observer_->directoryEvict(addr, line->sharers);
+    lines_.erase(addr);
 }
 
 void
 CoherenceEngine::flushAll()
 {
     lines_.clear();
-    for (auto &l1 : l1s_) {
-        l1.lru.clear();
-        l1.map.clear();
-    }
+    for (auto &l1 : l1s_)
+        l1.clear();
 }
 
 } // namespace jord::mem

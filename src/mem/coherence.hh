@@ -20,10 +20,9 @@
 #define JORD_MEM_COHERENCE_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "mem/block_map.hh"
 #include "mem/core_mask.hh"
 #include "noc/mesh.hh"
 #include "sim/machine.hh"
@@ -180,27 +179,64 @@ class CoherenceEngine
 
   private:
     struct Line {
-        CacheState state = CacheState::Invalid;
         CoreMask sharers;      ///< cores holding the line in L1
         unsigned owner = 0;    ///< valid when state is Modified/Exclusive
+        CacheState state = CacheState::Invalid;
         bool inLlc = false;    ///< block has an on-chip LLC copy
     };
 
-    /** Per-core L1 residency tracking with LRU capacity eviction. */
-    struct CoreL1 {
-        std::list<sim::Addr> lru; ///< front = most recent
-        std::unordered_map<sim::Addr, std::list<sim::Addr>::iterator>
-            map;
+    /**
+     * Per-core L1 residency in LRU order: a doubly linked list threaded
+     * through a node array by index, plus a block -> node index. The
+     * array grows on demand and never holds more than l1Lines + 1 nodes.
+     */
+    class CoreL1
+    {
+      public:
+        /** Make @p addr most recent; false if it was not resident. */
+        bool touch(sim::Addr addr);
+        /** Insert a non-resident @p addr as most recent. */
+        void pushFront(sim::Addr addr);
+        /** Remove and return the least recent block. */
+        sim::Addr popBack();
+        /** Remove @p addr if resident. */
+        void erase(sim::Addr addr);
+        void clear();
+        std::size_t size() const { return index_.size(); }
+
+      private:
+        static constexpr std::uint32_t kNil = ~0u;
+        struct Node {
+            sim::Addr addr;
+            std::uint32_t prev; ///< toward the most recent
+            std::uint32_t next; ///< toward the least recent
+        };
+        std::vector<Node> nodes_;
+        BlockMap<std::uint32_t> index_;
+        std::uint32_t head_ = kNil; ///< most recent
+        std::uint32_t tail_ = kNil; ///< least recent: the next victim
+        std::uint32_t free_ = kNil; ///< unused nodes, chained by next
+
+        void link(std::uint32_t node);
+        void unlink(std::uint32_t node);
+        void release(std::uint32_t node);
     };
 
     const sim::MachineConfig cfg_;
     const noc::Mesh &mesh_;
     TranslationObserver *observer_ = nullptr;
     prof::Pmu *pmu_ = nullptr;
-    std::unordered_map<sim::Addr, Line> lines_;
+    BlockMap<Line> lines_;
     std::vector<CoreL1> l1s_;
     CoherenceStats stats_;
 
+    /**
+     * The line for @p addr, inserted Invalid if untracked. The reference
+     * is valid only until the next insert into or erase from the line
+     * table. Within one read/write/atomic nothing else inserts or erases
+     * a line: touchL1's evictions, invalidateSharers and the
+     * TranslationObserver callbacks only look lines up.
+     */
     Line &lineFor(sim::Addr addr);
 
     /** PMU bookkeeping for one finished access (no timing effect). */

@@ -1,10 +1,18 @@
 #include "noc/mesh.hh"
 
-#include <cstdlib>
-
 #include "sim/logging.hh"
 
 namespace jord::noc {
+
+namespace {
+
+unsigned
+absDiff(unsigned a, unsigned b)
+{
+    return a > b ? a - b : b - a;
+}
+
+} // namespace
 
 Mesh::Mesh(const sim::MachineConfig &cfg) : cfg_(cfg)
 {
@@ -14,23 +22,23 @@ Mesh::Mesh(const sim::MachineConfig &cfg) : cfg_(cfg)
                    cfg.meshCols, cfg.meshRows, cfg.numSockets,
                    cfg.numCores);
     }
-}
-
-Coord
-Mesh::coordOf(unsigned tile) const
-{
-    unsigned local = tile % tilesPerSocket_;
-    return Coord{local % cfg_.meshCols, local / cfg_.meshCols};
+    dataSerialize_ = flits(MsgKind::Data) - 1;
+    tiles_.reserve(cfg.numCores);
+    for (unsigned tile = 0; tile < cfg.numCores; ++tile) {
+        unsigned local = tile % tilesPerSocket_;
+        unsigned socket = cfg.socketOf(tile);
+        tiles_.push_back(Tile{
+            Coord{local % cfg.meshCols, local / cfg.meshCols}, socket,
+            socket * tilesPerSocket_});
+    }
 }
 
 unsigned
 Mesh::hops(unsigned tile_a, unsigned tile_b) const
 {
-    Coord a = coordOf(tile_a);
-    Coord b = coordOf(tile_b);
-    return static_cast<unsigned>(
-        std::abs(static_cast<int>(a.col) - static_cast<int>(b.col)) +
-        std::abs(static_cast<int>(a.row) - static_cast<int>(b.row)));
+    Coord a = tiles_[tile_a].coord;
+    Coord b = tiles_[tile_b].coord;
+    return absDiff(a.col, b.col) + absDiff(a.row, b.row);
 }
 
 unsigned
@@ -47,20 +55,18 @@ Mesh::latency(unsigned src, unsigned dst, MsgKind kind) const
 {
     // Serialization: the tail flit arrives (flits - 1) cycles after the
     // head under wormhole routing with one flit/cycle links.
-    sim::Cycles serialize = flits(kind) - 1;
-    if (!crossSocket(src, dst)) {
+    sim::Cycles serialize = kind == MsgKind::Control ? 0 : dataSerialize_;
+    const Tile &s = tiles_[src];
+    const Tile &d = tiles_[dst];
+    if (s.socket == d.socket) {
         if (src == dst)
             return serialize; // local slice: no hops
         return hops(src, dst) * cfg_.hopCycles + serialize;
     }
     // Cross-socket: route to the local edge router (column 0), traverse
     // the socket link, then route from the remote edge to the target.
-    Coord src_c = coordOf(src);
-    Coord dst_c = coordOf(dst);
-    unsigned edge_hops = src_c.col + dst_c.col +
-        static_cast<unsigned>(
-            std::abs(static_cast<int>(src_c.row) -
-                     static_cast<int>(dst_c.row)));
+    unsigned edge_hops =
+        s.coord.col + d.coord.col + absDiff(s.coord.row, d.coord.row);
     return edge_hops * cfg_.hopCycles + cfg_.interSocketCycles + serialize;
 }
 
@@ -87,8 +93,7 @@ Mesh::homeSlice(sim::Addr block_addr, unsigned from_tile) const
     block ^= block >> 17;
     block *= 0xff51afd7ed558ccdull;
     block ^= block >> 33;
-    unsigned socket = cfg_.socketOf(from_tile);
-    return socket * tilesPerSocket_ +
+    return tiles_[from_tile].firstOfSocket +
            static_cast<unsigned>(block % tilesPerSocket_);
 }
 

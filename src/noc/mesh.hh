@@ -16,6 +16,7 @@
 #define JORD_NOC_MESH_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/machine.hh"
 #include "sim/types.hh"
@@ -39,7 +40,9 @@ struct Coord {
  *
  * Tiles are identified by global core id: core i sits on tile i and hosts
  * LLC slice i. For multi-socket configs, core ids are split evenly across
- * sockets and each socket has its own private mesh.
+ * sockets and each socket has its own private mesh. Each tile's
+ * coordinate and socket are computed once, at construction, so the
+ * per-message queries need no division.
  */
 class Mesh
 {
@@ -53,7 +56,7 @@ class Mesh
     unsigned numTiles() const { return cfg_.numCores; }
 
     /** Coordinate of a tile within its socket's mesh. */
-    Coord coordOf(unsigned tile) const;
+    Coord coordOf(unsigned tile) const { return tiles_[tile].coord; }
 
     /** Manhattan hop count between two tiles on the same socket. */
     unsigned hops(unsigned tile_a, unsigned tile_b) const;
@@ -88,14 +91,23 @@ class Mesh
     bool
     crossSocket(unsigned a, unsigned b) const
     {
-        return cfg_.socketOf(a) != cfg_.socketOf(b);
+        return tiles_[a].socket != tiles_[b].socket;
     }
 
     const sim::MachineConfig &config() const { return cfg_; }
 
   private:
+    struct Tile {
+        Coord coord;
+        unsigned socket;
+        unsigned firstOfSocket; ///< global id of the socket's tile 0
+    };
+
     sim::MachineConfig cfg_;
     unsigned tilesPerSocket_;
+    /** Extra cycles for the tail flits of a Data message. */
+    sim::Cycles dataSerialize_;
+    std::vector<Tile> tiles_;
 };
 
 } // namespace jord::noc

@@ -55,9 +55,8 @@ VmaTableBase::permFor(const Vte &vte, PdId pd) const
 // --- PlainListVmaTable ------------------------------------------------
 
 PlainListVmaTable::PlainListVmaTable(const VaEncoding &encoding)
-    : encoding_(encoding)
+    : encoding_(encoding), slots_(encoding.tableCapacity())
 {
-    slots_.assign(encoding_.tableCapacity(), Vte{});
 }
 
 bool

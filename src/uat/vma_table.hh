@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "sim/types.hh"
+#include "sim/zeroed_array.hh"
 #include "uat/size_class.hh"
 #include "uat/vte.hh"
 
@@ -109,7 +110,9 @@ class VmaTableBase
 
 /**
  * The paper's plain-list table: one preallocated VTE slot per
- * (size class, index) pair, interleaved evenly.
+ * (size class, index) pair, interleaved evenly. The slots start as
+ * zero pages (an all-zero VTE is an invalid one), so only the slots a
+ * run uses are ever faulted in.
  */
 class PlainListVmaTable : public VmaTableBase
 {
@@ -129,7 +132,7 @@ class PlainListVmaTable : public VmaTableBase
 
   private:
     VaEncoding encoding_;
-    std::vector<Vte> slots_;
+    sim::ZeroedArray<Vte> slots_;
     std::uint64_t numValid_ = 0;
 
     std::optional<std::uint64_t> slotFor(sim::Addr va) const;

@@ -8,11 +8,10 @@ namespace jord::uat {
 using sim::Addr;
 
 Vtd::Vtd(const sim::MachineConfig &cfg, const noc::Mesh &mesh)
-    : cfg_(cfg), mesh_(mesh)
+    : cfg_(cfg), mesh_(mesh),
+      entries_(static_cast<std::uint64_t>(cfg.vtdSets) * cfg.vtdWays *
+               cfg.numCores)
 {
-    std::uint64_t total = static_cast<std::uint64_t>(cfg.vtdSets) *
-                          cfg.vtdWays * cfg.numCores;
-    entries_.assign(total, Entry{});
 }
 
 std::size_t

@@ -20,11 +20,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "mem/core_mask.hh"
 #include "noc/mesh.hh"
 #include "sim/machine.hh"
+#include "sim/zeroed_array.hh"
 
 namespace jord::uat {
 
@@ -45,6 +45,15 @@ class Vtd
 {
   public:
     Vtd(const sim::MachineConfig &cfg, const noc::Mesh &mesh);
+
+    /** One way of a set. The entries start as zero pages: an all-zero
+     * entry is an invalid one. */
+    struct Entry {
+        bool valid = false;
+        sim::Addr tag = 0;
+        mem::CoreMask sharers;
+        std::uint64_t lastUse = 0;
+    };
 
     /** A valid entry displaced by a capacity eviction. */
     struct Evicted {
@@ -81,16 +90,9 @@ class Vtd
     std::uint64_t capacity() const { return entries_.size(); }
 
   private:
-    struct Entry {
-        bool valid = false;
-        sim::Addr tag = 0;
-        mem::CoreMask sharers;
-        std::uint64_t lastUse = 0;
-    };
-
     const sim::MachineConfig &cfg_;
     const noc::Mesh &mesh_;
-    std::vector<Entry> entries_;
+    sim::ZeroedArray<Entry> entries_;
     std::uint64_t useClock_ = 0;
     VtdStats stats_;
 

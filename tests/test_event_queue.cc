@@ -205,8 +205,9 @@ TEST(EventQueue, TombstoneSetStaysBoundedUnderChurn)
         auto drop = q.schedule(q.curTick() + 2, [] {});
         EXPECT_TRUE(q.cancel(drop));
         // Stale re-cancel of a long-gone handle must stay rejected.
-        if (keep > 10)
+        if (keep > 10) {
             EXPECT_FALSE(q.cancel(keep - 10));
+        }
         while (!q.empty())
             q.step();
         EXPECT_LE(q.numTombstones(), 1u);

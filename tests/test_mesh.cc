@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "noc/mesh.hh"
 #include "sim/machine.hh"
 
 namespace {
 
+using jord::noc::Coord;
 using jord::noc::Mesh;
 using jord::noc::MsgKind;
+using jord::sim::Addr;
+using jord::sim::Cycles;
 using jord::sim::MachineConfig;
 
 TEST(MachineConfig, DefaultMatchesTable2)
@@ -166,6 +171,133 @@ TEST(MeshMultiSocket, AvgLatencyGrowsWithScale)
     Mesh large(MachineConfig::scaled(256, 1));
     EXPECT_LT(small.avgLatencyFrom(0, MsgKind::Control),
               large.avgLatencyFrom(0, MsgKind::Control));
+}
+
+// --- Equivalence with the division-based formulas ---------------------------
+
+/**
+ * The mesh formulas written out with the divisions and modulos that
+ * derive a tile's socket and coordinate on every call. Mesh precomputes
+ * them per tile; every answer must stay the same.
+ */
+struct ReferenceMesh {
+    const MachineConfig &cfg;
+
+    unsigned tilesPerSocket() const { return cfg.meshCols * cfg.meshRows; }
+
+    unsigned
+    socketOf(unsigned tile) const
+    {
+        return tile / (cfg.numCores / cfg.numSockets);
+    }
+
+    Coord
+    coordOf(unsigned tile) const
+    {
+        unsigned local = tile % tilesPerSocket();
+        return Coord{local % cfg.meshCols, local / cfg.meshCols};
+    }
+
+    unsigned
+    hops(unsigned a, unsigned b) const
+    {
+        Coord ca = coordOf(a);
+        Coord cb = coordOf(b);
+        int cols = static_cast<int>(ca.col) - static_cast<int>(cb.col);
+        int rows = static_cast<int>(ca.row) - static_cast<int>(cb.row);
+        return static_cast<unsigned>(std::abs(cols) + std::abs(rows));
+    }
+
+    Cycles
+    serialization(MsgKind kind) const
+    {
+        if (kind == MsgKind::Control)
+            return 0;
+        return (jord::sim::kCacheBlockBytes + cfg.linkBytes - 1) /
+               cfg.linkBytes;
+    }
+
+    Cycles
+    latency(unsigned src, unsigned dst, MsgKind kind) const
+    {
+        if (socketOf(src) == socketOf(dst)) {
+            if (src == dst)
+                return serialization(kind);
+            return hops(src, dst) * cfg.hopCycles + serialization(kind);
+        }
+        Coord s = coordOf(src);
+        Coord d = coordOf(dst);
+        int rows = static_cast<int>(s.row) - static_cast<int>(d.row);
+        unsigned edge = s.col + d.col + static_cast<unsigned>(std::abs(rows));
+        return edge * cfg.hopCycles + cfg.interSocketCycles +
+               serialization(kind);
+    }
+
+    Cycles
+    roundTrip(unsigned src, unsigned dst, MsgKind kind) const
+    {
+        return latency(src, dst, MsgKind::Control) + latency(dst, src, kind);
+    }
+
+    unsigned
+    homeSlice(Addr block_addr, unsigned from_tile) const
+    {
+        Addr block = block_addr / jord::sim::kCacheBlockBytes;
+        block ^= block >> 17;
+        block *= 0xff51afd7ed558ccdull;
+        block ^= block >> 33;
+        return socketOf(from_tile) * tilesPerSocket() +
+               static_cast<unsigned>(block % tilesPerSocket());
+    }
+};
+
+void
+expectMatchesReference(const MachineConfig &cfg)
+{
+    Mesh mesh(cfg);
+    ReferenceMesh ref{cfg};
+    const unsigned n = cfg.numCores;
+    for (unsigned src = 0; src < n; ++src) {
+        for (unsigned dst = 0; dst < n; ++dst) {
+            for (MsgKind kind : {MsgKind::Control, MsgKind::Data}) {
+                ASSERT_EQ(mesh.latency(src, dst, kind),
+                          ref.latency(src, dst, kind))
+                    << src << "->" << dst;
+                ASSERT_EQ(mesh.roundTrip(src, dst, kind),
+                          ref.roundTrip(src, dst, kind))
+                    << src << "->" << dst;
+            }
+            ASSERT_EQ(mesh.hops(src, dst), ref.hops(src, dst))
+                << src << "->" << dst;
+        }
+        for (Addr addr = 0; addr < 512 * 64; addr += 64 + 3) {
+            ASSERT_EQ(mesh.homeSlice(addr, src), ref.homeSlice(addr, src))
+                << addr << " from " << src;
+            Addr high = 0x2000'0000'0000ull + addr * 4096;
+            ASSERT_EQ(mesh.homeSlice(high, src), ref.homeSlice(high, src))
+                << high << " from " << src;
+        }
+    }
+}
+
+TEST(MeshEquivalence, DefaultMachine)
+{
+    expectMatchesReference(MachineConfig::isca25Default());
+}
+
+TEST(MeshEquivalence, TwoSocket256Cores)
+{
+    expectMatchesReference(MachineConfig::scaled(256, 2));
+}
+
+TEST(MeshEquivalence, ThreeSocket48Cores)
+{
+    expectMatchesReference(MachineConfig::scaled(48, 3));
+}
+
+TEST(MeshEquivalence, FpgaPrototype)
+{
+    expectMatchesReference(MachineConfig::fpgaPrototype());
 }
 
 } // namespace

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "mem/coherence.hh"
 #include "noc/mesh.hh"
 #include "uat/vlb.hh"
 #include "uat/vtd.hh"
+#include "uat/vte.hh"
 
 namespace {
 
@@ -209,6 +212,24 @@ TEST_F(VtdTest, CapacityScalesWithConfig)
     EXPECT_EQ(vtd.capacity(),
               static_cast<std::uint64_t>(cfg.vtdSets) * cfg.vtdWays *
                   cfg.numCores);
+}
+
+/** True if a value-initialised T is all-zero bytes, padding included. */
+template <typename T>
+bool
+valueInitIsAllZeroBytes()
+{
+    const T value = T();
+    const unsigned char zeros[sizeof(T)] = {};
+    return std::memcmp(&value, zeros, sizeof(T)) == 0;
+}
+
+TEST(ZeroedTables, ValueInitialisedVteAndVtdEntryAreAllZeroBytes)
+{
+    // The VMA table's slots and the VTD's entries start as zero pages;
+    // that is only right if zero bytes are the value-initialised state.
+    EXPECT_TRUE(valueInitIsAllZeroBytes<jord::uat::Vte>());
+    EXPECT_TRUE(valueInitIsAllZeroBytes<Vtd::Entry>());
 }
 
 } // namespace
