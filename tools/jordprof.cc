@@ -34,8 +34,7 @@ bool
 higherIsBetter(const std::string &key)
 {
     return contains(key, "mrps") || contains(key, "goodput") ||
-           contains(key, "achieved") || contains(key, "throughput") ||
-           contains(key, "events_per_sec");
+           contains(key, "achieved") || contains(key, "throughput");
 }
 
 /** Keys that gate a diff; the rest is informational context. */
@@ -50,7 +49,6 @@ isGatingMetric(const std::string &key)
     static const char *const kPatterns[] = {
         "_us",  ".us",  "_ns",     ".ns",      "_ms",    ".ms",
         "mrps", "goodput", "achieved", "throughput", "latency",
-        "events_per_sec",
     };
     for (const char *pattern : kPatterns)
         if (contains(key, pattern))
