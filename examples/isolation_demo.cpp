@@ -37,8 +37,8 @@ show(const char *what, const PrivResult &res)
 }
 
 void
-probe(uat::UatSystem &uat, unsigned core, const char *what,
-      sim::Addr va, Perm need)
+tryAccess(uat::UatSystem &uat, unsigned core, const char *what,
+          sim::Addr va, Perm need)
 {
     uat::UatAccess acc = uat.dataAccess(core, va, need);
     std::printf("  %-34s %s\n", what,
@@ -77,24 +77,24 @@ main()
 
     // Enter alice's domain on core 0 and touch the heap.
     privlib.ccall(0, alice);
-    probe(uat, 0, "alice reads her heap", heap.value, Perm::r());
+    tryAccess(uat, 0, "alice reads her heap", heap.value, Perm::r());
 
     // Bob (core 1) forges alice's pointer: the VTW walks the VMA
     // table, finds no sub-array entry for bob's ucid, and faults.
     privlib.ccall(1, bob);
-    probe(uat, 1, "bob forges alice's heap pointer", heap.value,
-          Perm::r());
+    tryAccess(uat, 1, "bob forges alice's heap pointer", heap.value,
+              Perm::r());
 
     std::printf("\n== zero-copy sharing via pmove ==\n");
     PrivResult mv = privlib.pmove(0, argbuf.value, bob, Perm::rw());
     show("alice pmoves ArgBuf to bob", mv);
-    probe(uat, 1, "bob reads the ArgBuf", argbuf.value, Perm::r());
-    probe(uat, 0, "alice reads it after the move", argbuf.value,
-          Perm::r());
+    tryAccess(uat, 1, "bob reads the ArgBuf", argbuf.value, Perm::r());
+    tryAccess(uat, 0, "alice reads it after the move", argbuf.value,
+              Perm::r());
 
     std::printf("\n== privilege boundary ==\n");
-    probe(uat, 1, "bob loads PrivLib's data VMA",
-          privlib.privDataBase(), Perm::r());
+    tryAccess(uat, 1, "bob loads PrivLib's data VMA",
+              privlib.privDataBase(), Perm::r());
     uat::UatAccess gate = uat.fetch(1, privlib.privCodeBase() + 8);
     std::printf("  %-34s %s\n", "bob jumps past the uatg gate",
                 gate.ok() ? "ALLOWED" : uat::faultName(gate.fault));

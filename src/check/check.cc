@@ -593,7 +593,9 @@ Checker::onVlbUse(unsigned core, bool isInstr, Addr vteAddr, PdId pd)
 
 void
 Checker::onShootdown(Addr vteAddr, unsigned writerCore,
-                     const std::vector<unsigned> &targets)
+                     const std::vector<unsigned> &targets,
+                     sim::Cycles /* fanout */, bool /* remote */,
+                     bool /* pessimistic */)
 {
     ++epoch_;
     coreState(writerCore); // the writer is always known

@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "check/config.hh"
-#include "check/hooks.hh"
+#include "probe/probe.hh"
 #include "uat/size_class.hh"
 #include "uat/vma_table.hh"
 
@@ -99,11 +99,11 @@ struct Violation {
 };
 
 /**
- * The JordSan checker. Implements the CheckHooks event interface and
+ * The JordSan checker. Implements the probe's isolation events and
  * adds the runtime-facing lifecycle calls (ArgBufs, per-core request
  * context, end-of-run quiescence).
  */
-class Checker final : public CheckHooks
+class Checker final : public probe::Probe
 {
   public:
     explicit Checker(const CheckConfig &cfg,
@@ -169,7 +169,7 @@ class Checker final : public CheckHooks
     uat::VmaTableBase *mirrorPlain() { return mirrorPlain_.get(); }
     uat::VmaTableBase *mirrorBtree() { return mirrorBtree_.get(); }
 
-    // --- CheckHooks ------------------------------------------------
+    // --- probe::Probe --------------------------------------------
 
     void onAccess(unsigned core, sim::Addr va, uat::Perm need,
                   uat::PdId pd, bool corePriv, bool isFetch,
@@ -179,7 +179,9 @@ class Checker final : public CheckHooks
     void onVlbUse(unsigned core, bool isInstr, sim::Addr vteAddr,
                   uat::PdId pd) override;
     void onShootdown(sim::Addr vteAddr, unsigned writerCore,
-                     const std::vector<unsigned> &targets) override;
+                     const std::vector<unsigned> &targets,
+                     sim::Cycles fanout, bool remote,
+                     bool pessimistic) override;
     void onBackInvalidate(sim::Addr vteAddr,
                           const std::vector<unsigned> &targets) override;
     void onGateAdded(sim::Addr va) override;

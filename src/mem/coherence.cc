@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "prof/pmu.hh"
+#include "probe/probe.hh"
 #include "sim/logging.hh"
 
 namespace jord::mem {
@@ -171,26 +171,11 @@ CoherenceEngine::invalidateSharers(unsigned home, Line &line,
 }
 
 void
-CoherenceEngine::notePmu(unsigned core, const Access &acc, unsigned home)
+CoherenceEngine::noteAccess(unsigned core, const Access &acc,
+                            unsigned home)
 {
-    if (!pmu_)
-        return;
-    pmu_->add(core, prof::PmuCounter::RetiredOps);
-    if (acc.l1Hit) {
-        pmu_->add(core, prof::PmuCounter::L1Hits);
-        return;
-    }
-    if (acc.llcHit)
-        pmu_->add(core, prof::PmuCounter::LlcHits);
-    else
-        pmu_->add(core, prof::PmuCounter::DramFills);
-    pmu_->add(core, prof::PmuCounter::NocMsgs, acc.messages);
-    pmu_->add(core, prof::PmuCounter::NocHops,
-              static_cast<std::uint64_t>(mesh_.hops(core, home)) *
-                  acc.messages);
-    // The cycles beyond the L1 probe stalled on cross-core traffic.
-    pmu_->charge(core, prof::PmuBucket::Noc,
-                 acc.latency - cfg_.l1HitCycles);
+    if (probe_)
+        probe_->onCoherenceAccess(core, acc, home, mesh_.hops(core, home));
 }
 
 Access
@@ -214,7 +199,7 @@ CoherenceEngine::read(unsigned core, Addr addr, bool tbit)
         touchL1(core, addr);
         if (tbit && observer_)
             observer_->translationRead(core, addr);
-        notePmu(core, acc, core);
+        noteAccess(core, acc, core);
         return acc;
     }
 
@@ -268,7 +253,7 @@ CoherenceEngine::read(unsigned core, Addr addr, bool tbit)
 
     acc.latency = lat;
     stats_.messages += acc.messages;
-    notePmu(core, acc, home);
+    noteAccess(core, acc, home);
     return acc;
 }
 
@@ -296,7 +281,7 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
         touchL1(core, addr);
         if (tbit && observer_)
             observer_->translationWriteLocal(core, addr);
-        notePmu(core, acc, core);
+        noteAccess(core, acc, core);
         return acc;
     }
 
@@ -360,7 +345,7 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
 
     acc.latency = lat;
     stats_.messages += acc.messages;
-    notePmu(core, acc, home);
+    noteAccess(core, acc, home);
     return acc;
 }
 

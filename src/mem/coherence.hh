@@ -28,8 +28,8 @@
 #include "sim/machine.hh"
 #include "sim/types.hh"
 
-namespace jord::prof {
-class Pmu;
+namespace jord::probe {
+class Probe;
 }
 
 namespace jord::mem {
@@ -139,9 +139,9 @@ class CoherenceEngine
         observer_ = observer;
     }
 
-    /** Attach the simulated PMU (null to detach). Zero-latency: counter
-     * and cycle-attribution hooks never change access timing. */
-    void setPmu(prof::Pmu *pmu) { pmu_ = pmu; }
+    /** Attach (or detach, with nullptr) the probe; every finished
+     * access is reported at zero simulated latency. */
+    void setProbe(probe::Probe *probe) { probe_ = probe; }
 
     /** Directory state of a block (Invalid if never touched). */
     CacheState stateOf(sim::Addr addr) const;
@@ -225,7 +225,7 @@ class CoherenceEngine
     const sim::MachineConfig cfg_;
     const noc::Mesh &mesh_;
     TranslationObserver *observer_ = nullptr;
-    prof::Pmu *pmu_ = nullptr;
+    probe::Probe *probe_ = nullptr;
     BlockMap<Line> lines_;
     std::vector<CoreL1> l1s_;
     CoherenceStats stats_;
@@ -239,8 +239,8 @@ class CoherenceEngine
      */
     Line &lineFor(sim::Addr addr);
 
-    /** PMU bookkeeping for one finished access (no timing effect). */
-    void notePmu(unsigned core, const Access &acc, unsigned home);
+    /** Report one finished access to the probe (no timing effect). */
+    void noteAccess(unsigned core, const Access &acc, unsigned home);
 
     /** Record residency of @p addr in @p core's L1; evicts LRU victims
      * beyond the configured capacity. */

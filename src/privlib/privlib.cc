@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <iterator>
-#include <string>
 
-#include "check/hooks.hh"
-#include "prof/pmu.hh"
+#include "probe/probe.hh"
 #include "sim/logging.hh"
-#include "trace/metrics.hh"
 
 namespace jord::privlib {
 
@@ -36,16 +33,28 @@ refillChunks(unsigned sc)
 
 } // namespace
 
+const char *
+privOpName(PrivOp op)
+{
+    static constexpr const char *kOpNames[] = {
+        "mmap", "munmap", "mprotect", "pmove", "pcopy",
+        "cget", "cput",   "ccall",    "center", "cexit",
+    };
+    static_assert(std::size(kOpNames) ==
+                  static_cast<unsigned>(PrivOp::NumOps));
+    return kOpNames[static_cast<unsigned>(op)];
+}
+
 PrivLib::PrivLib(const sim::MachineConfig &cfg,
                  mem::CoherenceEngine &coherence, uat::UatSystem &uat,
                  uat::VmaTableBase &table, os::Kernel &kernel,
-                 check::CheckHooks *checker)
+                 probe::Probe *probe)
     : cfg_(cfg),
       coherence_(coherence),
       uat_(uat),
       table_(table),
       kernel_(kernel),
-      checker_(checker),
+      probe_(probe),
       pds_(uat::kMaxPdId + 1),
       domainStack_(cfg.numCores)
 {
@@ -111,10 +120,9 @@ PrivLib::fence(unsigned core, Addr vte_addr) const
     Cycles lat = coherence_.mesh().roundTrip(core, home,
                                              noc::MsgKind::Control) +
                  cfg_.llcHitCycles;
-    // Pure mesh math (no coherence access), so the cycles are not
-    // already in any stall bucket: the wait is shootdown time.
-    if (pmu_)
-        pmu_->charge(core, prof::PmuBucket::Shootdown, lat);
+    // Pure mesh math (no coherence access): report the wait.
+    if (probe_)
+        probe_->onFenceWait(core, lat);
     return lat;
 }
 
@@ -130,29 +138,8 @@ PrivLib::account(PrivOp op, Cycles latency)
     OpStats &entry = stats_[static_cast<unsigned>(op)];
     ++entry.count;
     entry.cycles += latency;
-    unsigned idx = static_cast<unsigned>(op);
-    if (opCalls_[idx])
-        opCalls_[idx]->add();
-    if (opCycles_[idx])
-        opCycles_[idx]->add(latency);
-}
-
-void
-PrivLib::attachMetrics(trace::MetricsRegistry &registry,
-                       const std::string &prefix)
-{
-    static constexpr const char *kOpNames[] = {
-        "mmap", "munmap", "mprotect", "pmove", "pcopy",
-        "cget", "cput",   "ccall",    "center", "cexit",
-    };
-    static_assert(std::size(kOpNames) ==
-                  static_cast<unsigned>(PrivOp::NumOps));
-    for (unsigned op = 0; op < static_cast<unsigned>(PrivOp::NumOps);
-         ++op) {
-        std::string base = prefix + "privlib." + kOpNames[op];
-        opCalls_[op] = &registry.counter(base + ".calls");
-        opCycles_[op] = &registry.counter(base + ".cycles");
-    }
+    if (probe_)
+        probe_->onPrivOp(op, latency);
 }
 
 void
@@ -369,9 +356,9 @@ PrivLib::mmapInternal(unsigned core, PdId pd, std::uint64_t len,
     res.ok = true;
     res.value = vma_base;
     account(op, res.latency);
-    if (checker_)
-        checker_->onVmaMapped(core, pd, vma_base, len, prot,
-                              table_.vteAddrOf(vma_base), *vte);
+    if (probe_)
+        probe_->onVmaMapped(core, pd, vma_base, len, prot,
+                            table_.vteAddrOf(vma_base), *vte);
     return res;
 }
 
@@ -505,8 +492,8 @@ PrivLib::munmap(unsigned core, Addr va, std::uint64_t len)
 
     res.ok = true;
     account(PrivOp::Munmap, res.latency);
-    if (checker_)
-        checker_->onVmaUnmapped(core, va);
+    if (probe_)
+        probe_->onVmaUnmapped(core, va);
     return res;
 }
 
@@ -557,8 +544,8 @@ PrivLib::mprotect(unsigned core, Addr va, std::uint64_t len, Perm prot)
     res.latency += uat_.vteWrite(core, vte_addr);
     res.ok = true;
     account(PrivOp::Mprotect, res.latency);
-    if (checker_)
-        checker_->onVmaProtected(core, pd, va, len, prot, *vte);
+    if (probe_)
+        probe_->onVmaProtected(core, pd, va, len, prot, *vte);
     return res;
 }
 
@@ -602,8 +589,8 @@ PrivLib::pmove(unsigned core, Addr va, PdId dst, Perm prot)
     res.latency += uat_.vteWrite(core, vte_addr);
     res.ok = true;
     account(PrivOp::Pmove, res.latency);
-    if (checker_)
-        checker_->onPermMoved(core, va, src, dst, prot, *vte);
+    if (probe_)
+        probe_->onPermMoved(core, va, src, dst, prot, *vte);
     return res;
 }
 
@@ -642,8 +629,8 @@ PrivLib::pmoveBetween(unsigned core, Addr va, PdId src, PdId dst,
     res.latency += uat_.vteWrite(core, table_.vteAddrOf(va));
     res.ok = true;
     account(PrivOp::Pmove, res.latency);
-    if (checker_)
-        checker_->onPermMoved(core, va, src, dst, prot, *vte);
+    if (probe_)
+        probe_->onPermMoved(core, va, src, dst, prot, *vte);
     return res;
 }
 
@@ -687,8 +674,8 @@ PrivLib::pcopy(unsigned core, Addr va, PdId dst, Perm prot)
     res.latency += coherence_.write(core, vte_addr).latency;
     res.ok = true;
     account(PrivOp::Pcopy, res.latency);
-    if (checker_)
-        checker_->onPermCopied(core, va, src, dst, prot, *vte);
+    if (probe_)
+        probe_->onPermCopied(core, va, src, dst, prot, *vte);
     return res;
 }
 
@@ -714,8 +701,8 @@ PrivLib::cget(unsigned core)
     res.ok = true;
     res.value = id;
     account(PrivOp::Cget, res.latency);
-    if (checker_)
-        checker_->onPdCreated(id, pds_[id].creator);
+    if (probe_)
+        probe_->onPdCreated(id, pds_[id].creator);
     return res;
 }
 
@@ -746,8 +733,8 @@ PrivLib::cput(unsigned core, PdId pd)
     listPush(core, pdList_, pd, res.latency);
     res.ok = true;
     account(PrivOp::Cput, res.latency);
-    if (checker_)
-        checker_->onPdDestroyed(pd);
+    if (probe_)
+        probe_->onPdDestroyed(pd);
     return res;
 }
 
@@ -772,8 +759,8 @@ PrivLib::ccall(unsigned core, PdId pd)
     res.latency += 1;
     res.ok = true;
     account(PrivOp::Ccall, res.latency);
-    if (checker_)
-        checker_->onDomainEnter(core, pd);
+    if (probe_)
+        probe_->onDomainEnter(core, pd);
     return res;
 }
 
@@ -798,8 +785,8 @@ PrivLib::center(unsigned core, PdId pd)
     res.latency += 1;
     res.ok = true;
     account(PrivOp::Center, res.latency);
-    if (checker_)
-        checker_->onDomainEnter(core, pd);
+    if (probe_)
+        probe_->onDomainEnter(core, pd);
     return res;
 }
 
@@ -819,8 +806,8 @@ PrivLib::cexit(unsigned core)
     res.latency += 1;
     res.ok = true;
     account(PrivOp::Cexit, res.latency);
-    if (checker_)
-        checker_->onDomainExit(core, uat_.csrFile(core).ucid);
+    if (probe_)
+        probe_->onDomainExit(core, uat_.csrFile(core).ucid);
     return res;
 }
 

@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mem/coherence.hh"
@@ -31,18 +30,9 @@
 #include "uat/uat_system.hh"
 #include "uat/vma_table.hh"
 
-namespace jord::check {
-class CheckHooks;
-} // namespace jord::check
-
-namespace jord::trace {
-class Counter;
-class MetricsRegistry;
-} // namespace jord::trace
-
-namespace jord::prof {
-class Pmu;
-} // namespace jord::prof
+namespace jord::probe {
+class Probe;
+} // namespace jord::probe
 
 namespace jord::privlib {
 
@@ -71,6 +61,9 @@ enum class PrivOp : unsigned {
     NumOps,
 };
 
+/** Lower-case name of @p op ("mmap", "pmove", ...). */
+const char *privOpName(PrivOp op);
+
 /** Per-operation counters. */
 struct OpStats {
     std::uint64_t count = 0;
@@ -95,14 +88,15 @@ class PrivLib
     static constexpr uat::PdId kRootPd = 0;
 
     /**
-     * @param checker Optional JordSan hooks; when attached, every
-     * successful mutation is reported after the real table update
-     * (including the bootstrap VMAs created by this constructor).
+     * @param probe Optional probe; when attached, every operation and
+     * every successful mutation is reported after the real table
+     * update, including the bootstrap VMAs created by this
+     * constructor (which is why the probe is a constructor argument).
      */
     PrivLib(const sim::MachineConfig &cfg,
             mem::CoherenceEngine &coherence, uat::UatSystem &uat,
             uat::VmaTableBase &table, os::Kernel &kernel,
-            check::CheckHooks *checker = nullptr);
+            probe::Probe *probe = nullptr);
 
     PrivLib(const PrivLib &) = delete;
     PrivLib &operator=(const PrivLib &) = delete;
@@ -193,17 +187,9 @@ class PrivLib
     }
     void resetStats();
 
-    /**
-     * Register per-op call counters (`privlib.<op>.calls`) and cycle
-     * totals (`privlib.<op>.cycles`) into @p registry (must outlive
-     * this object); account() feeds them alongside the OpStats.
-     */
-    void attachMetrics(trace::MetricsRegistry &registry,
-                       const std::string &prefix = "");
-
-    /** Attach the simulated PMU (null to detach); shootdown-fence
-     * waits are attributed at zero simulated latency. */
-    void setPmu(prof::Pmu *pmu) { pmu_ = pmu; }
+    /** Re-point (or detach, with nullptr) the probe given at
+     * construction. */
+    void setProbe(probe::Probe *probe) { probe_ = probe; }
 
     /** Cycles spent in VMA-management ops (Fig. 13 comparison). */
     std::uint64_t vmaManagementCycles() const;
@@ -250,8 +236,7 @@ class PrivLib
     uat::UatSystem &uat_;
     uat::VmaTableBase &table_;
     os::Kernel &kernel_;
-    check::CheckHooks *checker_ = nullptr;
-    prof::Pmu *pmu_ = nullptr;
+    probe::Probe *probe_ = nullptr; ///< null when not attached
     PrivCosts costs_;
     bool bypass_ = false;
 
@@ -263,11 +248,6 @@ class PrivLib
     /** Per-core stack of suspended domains (ccall/cexit nesting). */
     std::vector<std::vector<uat::PdId>> domainStack_;
     std::array<OpStats, static_cast<unsigned>(PrivOp::NumOps)> stats_{};
-    /** Registry mirrors of stats_ (null when metrics not attached). */
-    std::array<trace::Counter *,
-               static_cast<unsigned>(PrivOp::NumOps)> opCalls_{};
-    std::array<trace::Counter *,
-               static_cast<unsigned>(PrivOp::NumOps)> opCycles_{};
     sim::Addr privCodeBase_ = 0;
     sim::Addr privDataBase_ = 0;
 

@@ -3,8 +3,9 @@
  * Simulated per-core performance-monitoring unit (PMU).
  *
  * The PMU carries two kinds of state, both incremented at zero
- * simulated latency from null-guarded hook sites in uat/mem/privlib/
- * runtime:
+ * simulated latency by the worker's instrumentation channel
+ * (runtime::Instruments) from coherence, UAT, PrivLib and runtime
+ * events:
  *
  *  - named event counters (VLB i/d hits and misses, VTW walks and walk
  *    depth, VTD lookups/shootdowns/back-invalidations, NoC messages and

@@ -10,11 +10,12 @@
  * the simulator is deterministic, the recorded span stream is
  * byte-stable across runs with the same seed.
  *
- * Tracing is strictly opt-in: modules hold a `Tracer *` that is null
- * by default, so the disabled cost is one pointer test per
- * instrumentation site. All timestamps are simulator ticks; exporters
- * convert to nanoseconds using the machine frequency captured at
- * construction.
+ * Tracing is strictly opt-in: a worker reaches its tracer through its
+ * instrumentation channel (runtime::Instruments), which is a null
+ * pointer while nothing is attached, so the disabled cost is one
+ * pointer test per instrumentation site. All timestamps are simulator
+ * ticks; exporters convert to nanoseconds using the machine frequency
+ * captured at construction.
  */
 
 #ifndef JORD_TRACE_TRACE_HH

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 
-#include "check/hooks.hh"
-#include "prof/pmu.hh"
+#include "probe/probe.hh"
 #include "sim/logging.hh"
-#include "trace/metrics.hh"
-#include "trace/trace.hh"
 
 namespace jord::uat {
 
@@ -35,21 +32,6 @@ UatSystem::UatSystem(const sim::MachineConfig &cfg,
 UatSystem::~UatSystem()
 {
     coherence_.setTranslationObserver(nullptr);
-}
-
-void
-UatSystem::attachMetrics(trace::MetricsRegistry &registry,
-                         const std::string &prefix)
-{
-    vlbHits_ = &registry.counter(prefix + "uat.vlb.hits");
-    vlbMisses_ = &registry.counter(prefix + "uat.vlb.misses");
-    vtwFaults_ = &registry.counter(prefix + "uat.vtw.faults");
-    shootdowns_ = &registry.counter(prefix + "uat.vtd.shootdowns");
-    shootdownsPessimistic_ =
-        &registry.counter(prefix + "uat.vtd.shootdowns_pessimistic");
-    vtwWalkNs_ = &registry.distribution(prefix + "uat.vtw.walk_ns");
-    shootdownNs_ =
-        &registry.distribution(prefix + "uat.vtd.shootdown_ns");
 }
 
 UatSystem::WalkOutcome
@@ -87,9 +69,9 @@ UatSystem::vtwWalk(unsigned core, Addr va, PdId pd, Vlb &target)
     out.entry.global = vte.global();
     out.entry.pd = pd;
     target.insert(out.entry);
-    if (checker_)
-        checker_->onVlbFill(core, &target == ivlbs_[core].get(),
-                            out.entry);
+    if (probe_)
+        probe_->onVlbFill(core, &target == ivlbs_[core].get(),
+                          out.entry);
     return out;
 }
 
@@ -105,55 +87,21 @@ UatSystem::resolve(unsigned core, Addr va, Perm need, Vlb &vlb)
 
     PdId pd = csr.ucid;
     bool is_ivlb = &vlb == ivlbs_[core].get();
-    if (pmu_)
-        pmu_->add(core, prof::PmuCounter::RetiredOps);
     VlbEntry entry;
     if (auto hit = vlb.lookup(va, pd)) {
         entry = *hit;
         acc.vlbHit = true;
         // VLB probe overlaps the L1 access: no extra latency.
-        if (vlbHits_)
-            vlbHits_->add();
-        if (pmu_)
-            pmu_->add(core, is_ivlb ? prof::PmuCounter::VlbIHits
-                                    : prof::PmuCounter::VlbDHits);
-        if (checker_)
-            checker_->onVlbUse(core, is_ivlb, entry.vteAddr, pd);
+        if (probe_)
+            probe_->onVlbUse(core, is_ivlb, entry.vteAddr, pd);
     } else {
-        if (vlbMisses_)
-            vlbMisses_->add();
-        if (pmu_)
-            pmu_->add(core, is_ivlb ? prof::PmuCounter::VlbIMisses
-                                    : prof::PmuCounter::VlbDMisses);
-        // The walk's table-block reads charge their NoC stall cycles to
-        // the Noc bucket as they happen; snapshot it so those cycles
-        // can be reclassified as VTW-walk time, with the remainder of
-        // the walk latency (overhead + L1-hit reads) charged as
-        // VLB-miss stall. The miss's attributed total is exactly
-        // walk.latency.
-        std::uint64_t noc_before =
-            pmu_ ? pmu_->bucket(core, prof::PmuBucket::Noc) : 0;
+        if (probe_)
+            probe_->onVlbMiss(core, is_ivlb);
         WalkOutcome walk = vtwWalk(core, va, pd, vlb);
         acc.latency += walk.latency;
-        if (pmu_) {
-            pmu_->add(core, prof::PmuCounter::VtwWalks);
-            pmu_->add(core, prof::PmuCounter::VtwWalkDepth, walk.depth);
-            std::uint64_t moved =
-                pmu_->bucket(core, prof::PmuBucket::Noc) - noc_before;
-            pmu_->reclassify(core, prof::PmuBucket::Noc,
-                             prof::PmuBucket::VtwWalk, moved);
-            pmu_->charge(core, prof::PmuBucket::VlbMissStall,
-                         walk.latency - moved);
-        }
-        if (tracer_)
-            tracer_->complete("vtw_walk", trace::Category::Hw, core,
-                              tracer_->now(), walk.latency);
-        if (vtwWalkNs_)
-            vtwWalkNs_->record(static_cast<std::uint64_t>(
-                sim::cyclesToNs(walk.latency, cfg_.freqGhz)));
+        if (probe_)
+            probe_->onVtwWalk(core, walk.latency, walk.depth, walk.fault);
         if (walk.fault != Fault::None) {
-            if (vtwFaults_)
-                vtwFaults_->add();
             acc.fault = walk.fault;
             return acc;
         }
@@ -184,10 +132,9 @@ UatAccess
 UatSystem::dataAccess(unsigned core, Addr va, Perm need)
 {
     UatAccess acc = resolve(core, va, need, *dvlbs_[core]);
-    if (checker_)
-        checker_->onAccess(core, va, need, csrs_[core].ucid,
-                           pbit_[core], false, csrs_[core].enabled(),
-                           acc.fault);
+    if (probe_)
+        probe_->onAccess(core, va, need, csrs_[core].ucid, pbit_[core],
+                         false, csrs_[core].enabled(), acc.fault);
     return acc;
 }
 
@@ -204,10 +151,10 @@ UatSystem::fetch(unsigned core, Addr va)
             pbit_[core] = acc.pbit;
         }
     }
-    if (checker_)
-        checker_->onAccess(core, va, Perm(Perm::X), csrs_[core].ucid,
-                           was_priv, true, csrs_[core].enabled(),
-                           acc.fault);
+    if (probe_)
+        probe_->onAccess(core, va, Perm(Perm::X), csrs_[core].ucid,
+                         was_priv, true, csrs_[core].enabled(),
+                         acc.fault);
     return acc;
 }
 
@@ -215,8 +162,8 @@ void
 UatSystem::addGate(Addr va)
 {
     gates_.insert(va);
-    if (checker_)
-        checker_->onGateAdded(va);
+    if (probe_)
+        probe_->onGateAdded(va);
 }
 
 bool
@@ -282,8 +229,8 @@ UatSystem::vteWrite(unsigned core, Addr vte_addr)
 void
 UatSystem::translationRead(unsigned core, Addr addr)
 {
-    if (pmu_)
-        pmu_->add(core, prof::PmuCounter::VtdLookups);
+    if (probe_)
+        probe_->onVtdLookup(core);
     if (auto evicted = vtd_.addSharer(addr, core))
         backInvalidate(*evicted);
 }
@@ -293,20 +240,18 @@ UatSystem::translationWrite(unsigned core, Addr addr,
                             const mem::CoreMask &dir)
 {
     vtd_.mutableStats().writes++;
-    if (pmu_)
-        pmu_->add(core, prof::PmuCounter::VtdLookups);
     // Fan out to the union of both sharer trackers: the VTD covers
     // cores whose VTE block left their L1 after the fill, the
     // coherence directory covers cores whose fill hit in their own L1
     // and therefore never registered with the VTD. Either alone can
     // miss a live VLB holder.
     mem::CoreMask targets = dir;
+    bool pessimistic = false;
     if (auto tracked = vtd_.sharers(addr)) {
         targets |= *tracked;
     } else {
         vtd_.mutableStats().pessimistic++;
-        if (shootdownsPessimistic_)
-            shootdownsPessimistic_->add();
+        pessimistic = true;
     }
     vtd_.remove(addr);
 
@@ -318,7 +263,7 @@ UatSystem::translationWrite(unsigned core, Addr addr,
             return; // negative-test knob: drop this fan-out leg
         ivlbs_[sharer]->invalidateVte(addr);
         dvlbs_[sharer]->invalidateVte(addr);
-        if (checker_)
+        if (probe_)
             notified.push_back(sharer);
         if (sharer == core)
             return;
@@ -330,12 +275,10 @@ UatSystem::translationWrite(unsigned core, Addr addr,
     if (static_cast<int>(core) != debugSkipShootdownCore_) {
         ivlbs_[core]->invalidateVte(addr);
         dvlbs_[core]->invalidateVte(addr);
-        if (checker_ && std::find(notified.begin(), notified.end(),
-                                  core) == notified.end())
+        if (probe_ && std::find(notified.begin(), notified.end(),
+                                core) == notified.end())
             notified.push_back(core);
     }
-    if (checker_)
-        checker_->onShootdown(addr, core, notified);
 
     // The invalidation fan-out proceeds in hardware, parallel to the
     // writer (§4.2/§6.3: the shootdown completes when the furthest core
@@ -344,20 +287,12 @@ UatSystem::translationWrite(unsigned core, Addr addr,
     // issues an explicit fence; the fan-out latency itself is what
     // Fig. 14's "VLB shootdown" series reports. Writer-local refreshes
     // are not shootdowns and are not sampled.
-    if (full_worst > 0) {
+    if (full_worst > 0)
         shootdownLatency_.record(
             sim::cyclesToNs(full_worst, cfg_.freqGhz));
-        if (shootdowns_)
-            shootdowns_->add();
-        if (pmu_)
-            pmu_->add(core, prof::PmuCounter::VtdShootdowns);
-        if (shootdownNs_)
-            shootdownNs_->record(static_cast<std::uint64_t>(
-                sim::cyclesToNs(full_worst, cfg_.freqGhz)));
-        if (tracer_)
-            tracer_->complete("vlb_shootdown", trace::Category::Hw,
-                              core, tracer_->now(), full_worst);
-    }
+    if (probe_)
+        probe_->onShootdown(addr, core, notified, full_worst,
+                            full_worst > 0, pessimistic);
     return 0;
 }
 
@@ -371,8 +306,6 @@ UatSystem::translationWriteLocal(unsigned core, Addr addr)
     // fan out to any remote sharers; only a genuinely private
     // translation takes the cheap local-only path.
     vtd_.mutableStats().writes++;
-    if (pmu_)
-        pmu_->add(core, prof::PmuCounter::VtdLookups);
     bool remote_fanout = false;
     std::vector<unsigned> notified;
     if (auto tracked = vtd_.sharers(addr)) {
@@ -383,22 +316,21 @@ UatSystem::translationWriteLocal(unsigned core, Addr addr)
             dvlbs_[sharer]->invalidateVte(addr);
             if (sharer != core)
                 remote_fanout = true;
-            if (checker_)
+            if (probe_)
                 notified.push_back(sharer);
         });
         vtd_.remove(addr);
     }
-    if (pmu_ && remote_fanout)
-        pmu_->add(core, prof::PmuCounter::VtdShootdowns);
     if (static_cast<int>(core) != debugSkipShootdownCore_) {
         ivlbs_[core]->invalidateVte(addr);
         dvlbs_[core]->invalidateVte(addr);
-        if (checker_ && std::find(notified.begin(), notified.end(),
-                                  core) == notified.end())
+        if (probe_ && std::find(notified.begin(), notified.end(),
+                                core) == notified.end())
             notified.push_back(core);
     }
-    if (checker_)
-        checker_->onShootdown(addr, core, notified);
+    if (probe_)
+        probe_->onShootdown(addr, core, notified, 0, remote_fanout,
+                            false);
 }
 
 void
@@ -415,18 +347,15 @@ UatSystem::backInvalidate(const Vtd::Evicted &evicted)
     // list; flush those cores' VLB copies eagerly so no holder survives
     // untracked (inclusive-directory back-invalidation). The fan-out
     // runs in hardware off the critical path; no latency is charged.
-    // There is no initiating core: count on the PMU's uncore row.
-    if (pmu_)
-        pmu_->addUncore(prof::PmuCounter::VtdBackInvals);
     std::vector<unsigned> flushed;
     evicted.sharers.forEach([&](unsigned sharer) {
         ivlbs_[sharer]->invalidateVte(evicted.tag);
         dvlbs_[sharer]->invalidateVte(evicted.tag);
-        if (checker_)
+        if (probe_)
             flushed.push_back(sharer);
     });
-    if (checker_)
-        checker_->onBackInvalidate(evicted.tag, flushed);
+    if (probe_)
+        probe_->onBackInvalidate(evicted.tag, flushed);
 }
 
 } // namespace jord::uat

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -25,20 +24,9 @@
 #include "uat/vma_table.hh"
 #include "uat/vtd.hh"
 
-namespace jord::check {
-class CheckHooks;
-} // namespace jord::check
-
-namespace jord::prof {
-class Pmu;
-} // namespace jord::prof
-
-namespace jord::trace {
-class Counter;
-class Distribution;
-class MetricsRegistry;
-class Tracer;
-} // namespace jord::trace
+namespace jord::probe {
+class Probe;
+} // namespace jord::probe
 
 namespace jord::uat {
 
@@ -142,23 +130,10 @@ class UatSystem : public mem::TranslationObserver
 
     // --- Observability -------------------------------------------------
 
-    /** Attach (or detach, with nullptr) a span tracer; VTW walks and
-     * VLB shootdowns are emitted as hardware spans while attached. */
-    void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
-
-    /** Register VLB/VTW/VTD counters into @p registry (must outlive
-     * this object). */
-    void attachMetrics(trace::MetricsRegistry &registry,
-                       const std::string &prefix = "");
-
-    /** Attach (or detach, with nullptr) a JordSan checker; accesses,
-     * VLB fills/hits, and shootdown fan-outs are reported while
-     * attached. Hooks never charge latency. */
-    void setChecker(check::CheckHooks *checker) { checker_ = checker; }
-
-    /** Attach the simulated PMU (null to detach); VLB hits/misses,
-     * walks, and VTD events are counted at zero simulated latency. */
-    void setPmu(prof::Pmu *pmu) { pmu_ = pmu; }
+    /** Attach (or detach, with nullptr) the probe; accesses, VLB
+     * hits/misses/fills, walks, VTD lookups and shootdown fan-outs are
+     * reported while attached. Reports never charge latency. */
+    void setProbe(probe::Probe *probe) { probe_ = probe; }
 
     /**
      * Negative-test knob: skip the shootdown invalidation of one core
@@ -194,18 +169,8 @@ class UatSystem : public mem::TranslationObserver
     std::unordered_set<sim::Addr> gates_;
     stats::Sampler shootdownLatency_;
 
-    // Optional observability hooks (all null when not attached).
-    check::CheckHooks *checker_ = nullptr;
+    probe::Probe *probe_ = nullptr; ///< null when not attached
     int debugSkipShootdownCore_ = -1;
-    trace::Tracer *tracer_ = nullptr;
-    trace::Counter *vlbHits_ = nullptr;
-    trace::Counter *vlbMisses_ = nullptr;
-    trace::Counter *vtwFaults_ = nullptr;
-    trace::Counter *shootdowns_ = nullptr;
-    trace::Counter *shootdownsPessimistic_ = nullptr;
-    trace::Distribution *vtwWalkNs_ = nullptr;
-    trace::Distribution *shootdownNs_ = nullptr;
-    prof::Pmu *pmu_ = nullptr;
 
     struct WalkOutcome {
         sim::Cycles latency = 0;

@@ -44,7 +44,7 @@ class JordStackTest : public ::testing::Test
         uat = std::make_unique<uat::UatSystem>(cfg, *coherence, *table);
         checker = std::make_unique<check::Checker>(
             check::CheckConfig::all(), encoding);
-        uat->setChecker(checker.get());
+        uat->setProbe(checker.get());
         kernel = std::make_unique<os::Kernel>(cfg);
         privlib = std::make_unique<privlib::PrivLib>(
             cfg, *coherence, *uat, *table, *kernel, checker.get());
