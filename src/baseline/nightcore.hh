@@ -25,46 +25,53 @@
 namespace jord::baseline {
 
 /** Cost model for one pipe message between two pinned threads. */
-struct PipeCosts {
-    /** write(2): syscall entry/exit + pipe-buffer copy-in setup. */
-    sim::Cycles writeSyscall = sim::nsToCycles(350.0);
-    /** read(2): syscall entry/exit + copy-out setup. */
-    sim::Cycles readSyscall = sim::nsToCycles(350.0);
-    /** Futex/scheduler wake-up of the blocked reader. */
-    sim::Cycles wakeupLatency = sim::nsToCycles(800.0);
-    /** Copy throughput through the pipe buffer (per byte, per side). */
-    double copyCyclesPerByte = 0.25;
+namespace pipe {
 
-    /** Busy cycles the sender burns to push @p bytes. */
-    sim::Cycles
-    sendBusy(std::uint64_t bytes) const
-    {
-        return writeSyscall +
-               static_cast<sim::Cycles>(copyCyclesPerByte *
-                                        static_cast<double>(bytes));
-    }
+/** write(2): syscall entry/exit + pipe-buffer copy-in setup. */
+inline constexpr sim::Cycles kWriteSyscall = sim::nsToCycles(350.0);
+/** read(2): syscall entry/exit + copy-out setup. */
+inline constexpr sim::Cycles kReadSyscall = sim::nsToCycles(350.0);
+/** Futex/scheduler wake-up of the blocked reader. */
+inline constexpr sim::Cycles kWakeupLatency = sim::nsToCycles(800.0);
+/** Copy throughput through the pipe buffer (per byte, per side). */
+inline constexpr double kCopyCyclesPerByte = 0.25;
 
-    /** Busy cycles the receiver burns to pull @p bytes. */
-    sim::Cycles
-    recvBusy(std::uint64_t bytes) const
-    {
-        return readSyscall +
-               static_cast<sim::Cycles>(copyCyclesPerByte *
-                                        static_cast<double>(bytes));
-    }
+/** Busy cycles the sender burns to push @p bytes. */
+inline constexpr sim::Cycles
+sendBusy(std::uint64_t bytes)
+{
+    return kWriteSyscall + static_cast<sim::Cycles>(
+                               kCopyCyclesPerByte *
+                               static_cast<double>(bytes));
+}
 
-    /** Extra latency before the receiver starts running. */
-    sim::Cycles recvLatency() const { return wakeupLatency; }
-};
+/** Busy cycles the receiver burns to pull @p bytes. */
+inline constexpr sim::Cycles
+recvBusy(std::uint64_t bytes)
+{
+    return kReadSyscall + static_cast<sim::Cycles>(
+                              kCopyCyclesPerByte *
+                              static_cast<double>(bytes));
+}
+
+/** Extra latency before the receiver starts running. */
+inline constexpr sim::Cycles
+recvLatency()
+{
+    return kWakeupLatency;
+}
+
+} // namespace pipe
+
+/** Preparing a worker process for a function (NightCore, §6.2). */
+inline constexpr sim::Cycles kProvisionCycles = sim::usToCycles(800.0);
 
 /** Worker-pool provisioning model. */
 struct ProvisioningModel {
-    /** Preparing a worker process for a function (NightCore, §6.2). */
-    sim::Cycles provisionCycles = sim::usToCycles(800.0);
     /**
      * Workers provisioned per function before the run starts. The §6.1
      * comparison is at steady state, so the default is generous; lower
-     * it to study cold-start behaviour (0.8 ms per provisioning).
+     * it to study cold-start behaviour (kProvisionCycles each).
      */
     unsigned preProvisioned = 64;
 };

@@ -14,8 +14,7 @@
 namespace {
 
 using namespace jord;
-using baseline::PipeCosts;
-using baseline::ProvisioningModel;
+namespace pipe = baseline::pipe;
 using os::Kernel;
 using os::SyscallResult;
 
@@ -79,27 +78,24 @@ TEST(Kernel, ContextSaveRestoreRoundTrips)
 
 TEST(PipeCosts, CostsScaleWithPayload)
 {
-    PipeCosts pipes;
-    EXPECT_GT(pipes.sendBusy(4096), pipes.sendBusy(64));
-    EXPECT_GT(pipes.recvBusy(4096), pipes.recvBusy(64));
-    EXPECT_EQ(pipes.sendBusy(4096) - pipes.sendBusy(0),
-              static_cast<sim::Cycles>(4096 * pipes.copyCyclesPerByte));
+    EXPECT_GT(pipe::sendBusy(4096), pipe::sendBusy(64));
+    EXPECT_GT(pipe::recvBusy(4096), pipe::recvBusy(64));
+    EXPECT_EQ(pipe::sendBusy(4096) - pipe::sendBusy(0),
+              static_cast<sim::Cycles>(4096 * pipe::kCopyCyclesPerByte));
 }
 
 TEST(PipeCosts, SyscallFloorDominatesSmallMessages)
 {
-    PipeCosts pipes;
     // A 64-byte message costs nearly the same as an empty one.
-    EXPECT_LT(pipes.sendBusy(64) - pipes.sendBusy(0), 20u);
-    EXPECT_GT(sim::cyclesToNs(pipes.sendBusy(0)), 200.0);
+    EXPECT_LT(pipe::sendBusy(64) - pipe::sendBusy(0), 20u);
+    EXPECT_GT(sim::cyclesToNs(pipe::sendBusy(0)), 200.0);
 }
 
 TEST(PipeCosts, RoundTripIsMicrosecondScale)
 {
-    PipeCosts pipes;
     double one_hop_ns =
-        sim::cyclesToNs(pipes.sendBusy(512) + pipes.recvBusy(512) +
-                        pipes.recvLatency());
+        sim::cyclesToNs(pipe::sendBusy(512) + pipe::recvBusy(512) +
+                        pipe::recvLatency());
     EXPECT_GT(one_hop_ns, 1000.0);
     EXPECT_LT(one_hop_ns, 5000.0);
 }
