@@ -235,4 +235,47 @@ TEST_F(PosixVmTest, DistinctMmapsDontOverlap)
     EXPECT_GE(b.addr, a.addr + 4 * kPageBytes);
 }
 
+// --- Pinned OS-path costs -----------------------------------------------------
+
+/**
+ * A fresh PosixVm on @p cfg runs one 16 KB mmap -> mprotect(ro) ->
+ * munmap from core 0; each step must cost exactly @p cycles with
+ * @p ipis shootdown IPIs. motivation_vm_compare's OS column is the mean
+ * of this sequence, so these pins catch any drift in the syscall,
+ * leaf-PTE or shootdown cost model.
+ */
+void
+expectOsPath(const MachineConfig &cfg, const jord::sim::Cycles (&cycles)[3],
+             const unsigned (&ipis)[3])
+{
+    constexpr std::uint64_t kBytes = 16 << 10;
+    Mesh mesh(cfg);
+    CoherenceEngine engine(cfg, mesh);
+    PosixVm vm(cfg, engine);
+    VmOpResult ops[3];
+    ops[0] = vm.mmap(0, kBytes, PagePerms::rw());
+    ops[1] = vm.mprotect(0, ops[0].addr, kBytes, PagePerms::ro());
+    ops[2] = vm.munmap(0, ops[0].addr, kBytes);
+    for (unsigned i = 0; i < 3; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_TRUE(ops[i].ok);
+        EXPECT_EQ(ops[i].latency, cycles[i]);
+        EXPECT_EQ(ops[i].ipis, ipis[i]);
+    }
+}
+
+TEST(PosixVmPin, Isca25Default)
+{
+    expectOsPath(MachineConfig::isca25Default(), {1900, 36464, 36456},
+                 {0, 31, 31});
+}
+
+TEST(PosixVmPin, Scaled64Cores2Sockets)
+{
+    // The second socket adds the inter-socket round trip to the slowest
+    // shootdown handler.
+    expectOsPath(MachineConfig::scaled(64, 2), {1900, 70544, 70536},
+                 {0, 63, 63});
+}
+
 } // namespace
