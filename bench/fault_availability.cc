@@ -17,7 +17,8 @@
  * Flags: --quick shrinks the sweep for CI smoke runs; --jobs N runs
  * the sweep points host-parallel with byte-identical output; --json
  * PATH writes the machine-comparable summary (goodput, good fraction,
- * good P99 per sweep point) gated by CI via jordprof diff.
+ * good P99 per sweep point) that CI byte-compares with the committed
+ * BENCH_fault_availability.json.
  * Environment knobs: JORD_FAULT_REQUESTS overrides requests per point.
  */
 

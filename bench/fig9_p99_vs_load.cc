@@ -53,8 +53,8 @@ main(int argc, char **argv)
                                   SystemKind::NightCore};
     constexpr std::size_t kNumSystems = 3;
 
-    // Quick mode (the CI perf gate) runs Hotel only, on a short load
-    // series: enough signal for a 10% regression gate.
+    // Quick mode (CI's byte-compared BENCH_fig9.json baseline) runs
+    // Hotel only, on a short load series.
     std::vector<workloads::Workload> all = workloads::makeAll();
     std::vector<const workloads::Workload *> active;
     for (const workloads::Workload &w : all)

@@ -73,6 +73,9 @@ violationKindName(ViolationKind kind)
     return "unknown";
 }
 
+namespace {
+
+/** Which family a violation counts against. */
 CheckFamily
 violationFamily(ViolationKind kind)
 {
@@ -89,8 +92,6 @@ violationFamily(ViolationKind kind)
         return CheckFamily::Access;
     }
 }
-
-namespace {
 
 std::string
 permName(Perm perm)

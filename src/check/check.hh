@@ -82,7 +82,6 @@ enum class ViolationKind {
 enum class CheckFamily { Access, Vlb, Difftable };
 
 const char *violationKindName(ViolationKind kind);
-CheckFamily violationFamily(ViolationKind kind);
 
 /** One recorded violation with its diagnostic context. */
 struct Violation {

@@ -1094,19 +1094,6 @@ ClusterSim::run()
     return result_;
 }
 
-ClusterResult
-runCluster(const workloads::Workload &workload,
-           const ClusterConfig &cfg, par::ThreadPool *pool,
-           obs::FleetObserver *obs)
-{
-    ServerModel model =
-        calibrateServer(workload, cfg.worker, cfg.calibration, pool);
-    ClusterSim sim(cfg, model);
-    if (obs)
-        sim.setObserver(obs);
-    return sim.run();
-}
-
 void
 attachClusterMetrics(const ClusterResult &result,
                      trace::MetricsRegistry &registry)

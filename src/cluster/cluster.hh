@@ -478,15 +478,6 @@ class ClusterSim
 };
 
 /**
- * Convenience wrapper: calibrate the server model (fanning the
- * calibration runs across @p pool; null = serial) and run the fleet.
- */
-ClusterResult runCluster(const workloads::Workload &workload,
-                         const ClusterConfig &cfg,
-                         par::ThreadPool *pool,
-                         obs::FleetObserver *obs = nullptr);
-
-/**
  * Register a finished fleet run's statistics into @p registry. Every
  * name carries a `cluster.server<k>.` / `cluster.tenant.<name>.`
  * prefix, so N servers sharing one registry stay distinguishable

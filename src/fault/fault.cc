@@ -137,30 +137,6 @@ applyClusterKey(ClusterFaultRates &r, const std::string &key,
                    key.c_str());
 }
 
-void
-describeRates(std::ostringstream &os, const FaultRates &r)
-{
-    bool first = true;
-    auto emit = [&](const char *k, double v) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << k << "=" << v;
-    };
-    if (r.crash > 0)
-        emit("crash", r.crash);
-    if (r.argbufViolation > 0)
-        emit("perm", r.argbufViolation);
-    if (r.spike > 0) {
-        emit("spike", r.spike);
-        emit("spikex", r.spikeMult);
-    }
-    if (r.pipeDrop > 0)
-        emit("drop", r.pipeDrop);
-    if (first)
-        os << "none";
-}
-
 } // namespace
 
 bool
@@ -244,50 +220,6 @@ FaultPlan::parse(const std::string &spec)
         first = false;
     }
     return plan;
-}
-
-std::string
-FaultPlan::describe() const
-{
-    std::ostringstream os;
-    describeRates(os, defaults);
-    for (const auto &[name, rates] : byFunction) {
-        os << ";" << name << ":";
-        describeRates(os, rates);
-    }
-    if (cluster.any()) {
-        os << ";cluster:";
-        bool first = true;
-        auto emit = [&](const char *k, double v) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << k << "=" << v;
-        };
-        if (cluster.serverCrash > 0)
-            emit("crash", cluster.serverCrash);
-        if (cluster.gray > 0) {
-            emit("gray", cluster.gray);
-            emit("grayx", cluster.grayMult);
-        }
-        if (cluster.grayServer >= 0) {
-            emit("gray_server", cluster.grayServer);
-            emit("grayx", cluster.grayMult);
-        }
-        if (cluster.linkDrop > 0)
-            emit("drop", cluster.linkDrop);
-        if (cluster.linkDelay > 0) {
-            emit("delay", cluster.linkDelay);
-            emit("delay_us", cluster.linkDelayUs);
-        }
-        if (cluster.crashAtMs >= 0) {
-            emit("crash_at_ms", cluster.crashAtMs);
-            emit("crash_frac", cluster.crashFrac);
-        }
-    }
-    if (seed)
-        os << " seed=" << seed;
-    return os.str();
 }
 
 void

@@ -145,9 +145,6 @@ struct FaultPlan {
      * function clause).
      */
     static FaultPlan parse(const std::string &spec);
-
-    /** One-line human-readable summary ("crash=0.01 spike=0.05x8"). */
-    std::string describe() const;
 };
 
 /** What the injector decided for one invocation attempt. */

@@ -7,6 +7,9 @@
 
 namespace jord::obs {
 
+namespace {
+
+/** Stable event-kind name (the events CSV `kind` column). */
 const char *
 eventKindName(EventKind kind)
 {
@@ -20,6 +23,8 @@ eventKindName(EventKind kind)
     }
     return "?";
 }
+
+} // namespace
 
 FleetObserver::FleetObserver(const ObsConfig &cfg,
                              unsigned num_servers,

@@ -130,9 +130,6 @@ enum class EventKind : std::uint8_t {
     AlertClear,///< SLO monitor cleared a tenant alert
 };
 
-/** Stable event-kind name (the events CSV `kind` column). */
-const char *eventKindName(EventKind kind);
-
 /** One incident or alert event. */
 struct Event {
     sim::Tick startTick = 0;

@@ -33,10 +33,4 @@ Kernel::uatConfigReserve(std::uint64_t bytes)
     return res;
 }
 
-std::uint64_t
-Kernel::remainingBytes() const
-{
-    return endPa_ - nextPa_;
-}
-
 } // namespace jord::os

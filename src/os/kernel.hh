@@ -70,9 +70,6 @@ class Kernel
         csrs = ctx;
     }
 
-    /** Physical bytes still available for reservation. */
-    std::uint64_t remainingBytes() const;
-
     /** Total syscalls served (for tests/stats). */
     std::uint64_t numSyscalls() const { return numSyscalls_; }
 

@@ -40,20 +40,6 @@ FunctionBuilder::async(const std::string &target,
 }
 
 FunctionBuilder &
-FunctionBuilder::execCv(double cv)
-{
-    cv_ = cv;
-    return *this;
-}
-
-FunctionBuilder &
-FunctionBuilder::stackHeap(std::uint64_t bytes)
-{
-    stackHeapBytes_ = bytes;
-    return *this;
-}
-
-FunctionBuilder &
 FunctionBuilder::argBytes(std::uint64_t bytes)
 {
     argBytes_ = bytes;
@@ -95,8 +81,6 @@ AppBuilder::build() const
     for (const FunctionBuilder &builder : functions_) {
         FunctionSpec spec;
         spec.name = builder.name_;
-        spec.execCv = builder.cv_;
-        spec.stackHeapBytes = builder.stackHeapBytes_;
         spec.argBytes = builder.argBytes_;
         spec.execMeanUs = std::accumulate(builder.segmentUs_.begin(),
                                           builder.segmentUs_.end(), 0.0);

@@ -60,12 +60,6 @@ class FunctionBuilder
     FunctionBuilder &async(const std::string &target,
                            std::uint64_t arg_bytes = 512);
 
-    /** Coefficient of variation of the total compute time. */
-    FunctionBuilder &execCv(double cv);
-
-    /** Private stack+heap VMA size per invocation. */
-    FunctionBuilder &stackHeap(std::uint64_t bytes);
-
     /** ArgBuf size for external requests to this function. */
     FunctionBuilder &argBytes(std::uint64_t bytes);
 
@@ -81,8 +75,6 @@ class FunctionBuilder
     explicit FunctionBuilder(std::string name);
 
     std::string name_;
-    double cv_ = 0.3;
-    std::uint64_t stackHeapBytes_ = 16 << 10;
     std::uint64_t argBytes_ = 512;
     std::vector<double> segmentUs_{0.0};
     std::vector<PendingCall> calls_;

@@ -52,24 +52,4 @@ fatal(const char *fmt, ...)
     std::exit(1);
 }
 
-void
-warn(const char *fmt, ...)
-{
-    std::va_list args;
-    va_start(args, fmt);
-    std::string s = vstrprintf(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "warn: %s\n", s.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    std::va_list args;
-    va_start(args, fmt);
-    std::string s = vstrprintf(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "info: %s\n", s.c_str());
-}
-
 } // namespace jord::sim

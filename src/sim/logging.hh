@@ -3,8 +3,7 @@
  * Error reporting helpers in the spirit of gem5's logging.hh.
  *
  * panic() flags an internal simulator bug and aborts; fatal() flags a user
- * configuration error and exits cleanly; warn()/inform() report conditions
- * without stopping the simulation.
+ * configuration error and exits cleanly.
  */
 
 #ifndef JORD_SIM_LOGGING_HH
@@ -22,12 +21,6 @@ namespace jord::sim {
 /** Exit with a message: the user supplied an impossible configuration. */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Report a suspicious but survivable condition to stderr. */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report an informational message to stderr. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Format a printf-style message into a std::string. */
 std::string vstrprintf(const char *fmt, std::va_list args);

@@ -30,17 +30,15 @@ enum class MachineProfile {
 /**
  * Full description of the modelled worker server.
  *
- * Defaults reproduce Table 2: 32-core 4 GHz OoO CPU, 8x4 2D-mesh NoC with
+ * Defaults reproduce Table 2: 32-core 4 GHz CPU, 8x4 2D-mesh NoC with
  * 16 B links and 3 cycles/hop, 32 KB L1s (2-cycle), 2 MB/tile non-inclusive
- * LLC (6-cycle), directory-based MESI, 4 memory controllers.
+ * LLC (6-cycle), directory-based MESI. Table 2's ROB, store buffer, issue
+ * width, memory-controller count and TLBs are not modelled.
  */
 struct MachineConfig {
     // --- Core ---
     double freqGhz = kDefaultFreqGhz;
     unsigned numCores = 32;
-    unsigned robEntries = 128;
-    unsigned storeBufferEntries = 32;
-    unsigned issueWidth = 4;
 
     // --- Sockets (for the §6.3 scalability study) ---
     unsigned numSockets = 1;
@@ -59,13 +57,6 @@ struct MachineConfig {
     unsigned l1Lines = 512;
     Cycles llcHitCycles = 6;
     Cycles dramCycles = nsToCycles(100.0);
-    unsigned numMemControllers = 4;
-
-    // --- Conventional TLB hierarchy (baseline/page-table path) ---
-    unsigned l1TlbEntries = 48;
-    unsigned l2TlbEntries = 1024;
-    unsigned l2TlbAssoc = 4;
-    Cycles l2TlbCycles = 8;
 
     // --- UAT hardware (Jord) ---
     unsigned ivlbEntries = 16;

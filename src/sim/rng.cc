@@ -53,12 +53,6 @@ Rng::uniform()
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t
 Rng::uniformInt(std::uint64_t n)
 {
@@ -68,13 +62,6 @@ Rng::uniformInt(std::uint64_t n)
     unsigned __int128 product =
         static_cast<unsigned __int128>(next()) * n;
     return static_cast<std::uint64_t>(product >> 64);
-}
-
-std::int64_t
-Rng::uniformInt(std::int64_t lo, std::int64_t hi)
-{
-    std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(uniformInt(span));
 }
 
 double
@@ -116,15 +103,6 @@ double
 Rng::lognormal(double mu, double sigma)
 {
     return std::exp(normal(mu, sigma));
-}
-
-double
-Rng::boundedPareto(double lo, double hi, double alpha)
-{
-    double u = uniform();
-    double la = std::pow(lo, alpha);
-    double ha = std::pow(hi, alpha);
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
 bool

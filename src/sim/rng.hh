@@ -3,10 +3,10 @@
  * Deterministic random number generation for workload models.
  *
  * Wraps xoshiro256** with the distribution helpers the load generator and
- * workload models need (uniform, exponential for Poisson arrivals, bounded
- * Pareto and lognormal for service-time tails). All randomness in the
- * simulator flows through seeded Rng instances, never through std::random
- * device state, so runs are reproducible.
+ * workload models need (uniform, exponential for Poisson arrivals,
+ * lognormal for service times). All randomness in the simulator flows
+ * through seeded Rng instances, never through std::random device state,
+ * so runs are reproducible.
  */
 
 #ifndef JORD_SIM_RNG_HH
@@ -32,14 +32,8 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform();
 
-    /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
-
     /** Uniform integer in [0, n). @p n must be non-zero. */
     std::uint64_t uniformInt(std::uint64_t n);
-
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
     /** Exponential variate with the given mean (Poisson inter-arrivals). */
     double exponential(double mean);
@@ -52,12 +46,6 @@ class Rng
 
     /** Lognormal variate parameterised by the mean/sigma of log-space. */
     double lognormal(double mu, double sigma);
-
-    /**
-     * Bounded Pareto variate in [lo, hi] with shape @p alpha.
-     * Used for heavy-tailed service-time components.
-     */
-    double boundedPareto(double lo, double hi, double alpha);
 
     /** Bernoulli trial with probability @p p of returning true. */
     bool chance(double p);

@@ -138,36 +138,4 @@ Histogram::reset()
     sum_ = 0.0;
 }
 
-std::string
-Histogram::render(unsigned rows) const
-{
-    if (count_ == 0)
-        return "<empty histogram>\n";
-    // Split [min, max] into `rows` log-spaced rows and print bars.
-    std::string out;
-    double lo = static_cast<double>(std::max<std::uint64_t>(min_, 1));
-    double hi = static_cast<double>(std::max<std::uint64_t>(max_, 1));
-    double ratio = std::pow(hi / lo, 1.0 / rows);
-    std::uint64_t prev_count = 0;
-    double edge = lo;
-    for (unsigned r = 0; r < rows; ++r) {
-        double next = (r + 1 == rows) ? hi + 1 : edge * ratio;
-        std::uint64_t cum = 0;
-        for (std::size_t i = 0; i < buckets_.size(); ++i) {
-            if (static_cast<double>(bucketLowerBound(i)) < next)
-                cum += buckets_[i];
-        }
-        std::uint64_t in_row = cum - prev_count;
-        prev_count = cum;
-        unsigned bar = static_cast<unsigned>(
-            50.0 * static_cast<double>(in_row) /
-            static_cast<double>(count_));
-        out += sim::strprintf("%12.0f | %-50s %llu\n", edge,
-                              std::string(bar, '#').c_str(),
-                              static_cast<unsigned long long>(in_row));
-        edge = next;
-    }
-    return out;
-}
-
 } // namespace jord::stats

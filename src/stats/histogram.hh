@@ -12,7 +12,6 @@
 #define JORD_STATS_HISTOGRAM_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace jord::stats {
@@ -55,9 +54,6 @@ class Histogram
 
     /** Discard all samples. */
     void reset();
-
-    /** Multi-line ASCII rendering for debugging. */
-    std::string render(unsigned rows = 16) const;
 
   private:
     unsigned subBuckets_;

@@ -75,23 +75,4 @@ Table::render() const
     return out;
 }
 
-std::string
-Table::renderCsv() const
-{
-    auto join = [](const std::vector<std::string> &row) {
-        std::string line;
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            line += row[c];
-            if (c + 1 < row.size())
-                line += ',';
-        }
-        line += '\n';
-        return line;
-    };
-    std::string out = join(headers_);
-    for (const auto &row : rows_)
-        out += join(row);
-    return out;
-}
-
 } // namespace jord::stats

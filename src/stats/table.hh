@@ -33,9 +33,6 @@ class Table
     /** Render the table with a header separator line. */
     std::string render() const;
 
-    /** Render as comma-separated values (for plotting scripts). */
-    std::string renderCsv() const;
-
     std::size_t numRows() const { return rows_.size(); }
 
   private:

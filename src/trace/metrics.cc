@@ -105,17 +105,4 @@ MetricsRegistry::writeCsv(std::ostream &out) const
     }
 }
 
-void
-MetricsRegistry::reset()
-{
-    for (auto &[name, entry] : metrics_) {
-        (void)name;
-        switch (entry.kind) {
-          case Kind::Counter: entry.counter->reset(); break;
-          case Kind::Gauge: entry.gauge->reset(); break;
-          case Kind::Distribution: entry.dist->reset(); break;
-        }
-    }
-}
-
 } // namespace jord::trace

@@ -95,14 +95,6 @@ class Gauge
                      : value_;
     }
 
-    void
-    reset()
-    {
-        value_ = weightedSum_ = max_ = 0;
-        span_ = 0;
-        started_ = false;
-    }
-
   private:
     double value_ = 0;
     double weightedSum_ = 0;
@@ -135,7 +127,6 @@ class Distribution
     std::uint64_t max() const { return hist_.max(); }
     std::uint64_t p50() const { return hist_.p50(); }
     std::uint64_t p99() const { return hist_.p99(); }
-    void reset() { hist_.reset(); }
 
   private:
     stats::Histogram hist_;
@@ -170,9 +161,6 @@ class MetricsRegistry
      * meaningful for a kind are left empty.
      */
     void writeCsv(std::ostream &out) const;
-
-    /** Zero every metric (registrations survive). */
-    void reset();
 
   private:
     enum class Kind { Counter, Gauge, Distribution };

@@ -85,7 +85,6 @@ class UatSystem : public mem::TranslationObserver
 
     /** Register a uatg call-gate address (a PrivLib entry point). */
     void addGate(sim::Addr va);
-    bool isGate(sim::Addr va) const;
 
     /** Current decoder P-bit state of a core. */
     bool privileged(unsigned core) const { return pbit_[core]; }
@@ -157,6 +156,9 @@ class UatSystem : public mem::TranslationObserver
   private:
     /** Flush a VTD eviction victim's sharers from their VLBs. */
     void backInvalidate(const Vtd::Evicted &evicted);
+
+    /** Whether @p va is a registered uatg call gate. */
+    bool isGate(sim::Addr va) const;
 
     const sim::MachineConfig &cfg_;
     mem::CoherenceEngine &coherence_;

@@ -3,11 +3,10 @@
  * Functional 4-level radix page table (Sv48-style).
  *
  * This is the traditional page-based translation substrate that Jord
- * extends rather than replaces (§2.2, §4.1): the OS-managed path used by
- * the NightCore baseline, and the fallback for VAs outside the UAT
- * region. The table is a real pointer-linked radix tree; every page-table
- * node has a synthetic physical address so the timed page-table walker
- * can charge its accesses to the coherence engine.
+ * extends rather than replaces (§2.2, §4.1), and the table PosixVm's
+ * OS path edits. The table is a real pointer-linked radix tree; every
+ * page-table node has a synthetic physical address so PosixVm can charge
+ * the kernel's leaf-PTE writes to the coherence engine.
  */
 
 #ifndef JORD_VM_PAGE_TABLE_HH
@@ -134,7 +133,7 @@ class PageTable
 
     struct Node {
         std::array<Entry, kEntriesPerNode> entries;
-        /** Synthetic PA of this node for walker timing. */
+        /** Synthetic PA of this node, for timing PTE accesses. */
         sim::Addr nodePa;
     };
 

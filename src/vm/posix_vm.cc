@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace jord::vm {
 
 using sim::Addr;
@@ -21,33 +19,24 @@ PosixVm::PosixVm(const sim::MachineConfig &cfg,
       nextVa_(kMmapVaBase),
       nextPa_(kMmapPaBase)
 {
-    mmus_.reserve(cfg.numCores);
-    for (unsigned core = 0; core < cfg.numCores; ++core)
-        mmus_.push_back(
-            std::make_unique<Mmu>(cfg, coherence, table_, core));
 }
 
 Cycles
-PosixVm::shootdown(unsigned initiator, Addr va, std::uint64_t len,
-                   unsigned &ipis)
+PosixVm::shootdown(unsigned initiator, std::uint64_t len, unsigned &ipis)
 {
     // Linux-style: flush locally, then IPI every other core and spin until
     // all have acknowledged. Remote handlers run concurrently, but the
     // initiator still pays per-IPI send cost plus the slowest handler.
     std::uint64_t pages = pageAlignUp(len) / kPageBytes;
     Cycles local_flush = pages * 2;
-    for (std::uint64_t p = 0; p < pages; ++p)
-        mmus_[initiator]->invalidatePage(va + p * kPageBytes);
 
     Cycles send_total = 0;
     Cycles slowest_handler = 0;
     for (unsigned core = 0; core < cfg_.numCores; ++core) {
         if (core == initiator)
             continue;
-        for (std::uint64_t p = 0; p < pages; ++p)
-            mmus_[core]->invalidatePage(va + p * kPageBytes);
-        send_total += costs_.ipiCycles / 4; // send side of each IPI
-        Cycles handler = costs_.ipiCycles + pages * 2;
+        send_total += oscost::kIpi / 4; // send side of each IPI
+        Cycles handler = oscost::kIpi + pages * 2;
         if (coherence_.mesh().crossSocket(initiator, core))
             handler += cfg_.interSocketCycles * 2;
         slowest_handler = std::max(slowest_handler, handler);
@@ -71,13 +60,13 @@ PosixVm::mmap(unsigned core, std::uint64_t len, PagePerms perms)
 
     if (!table_.map(va, pa, len, perms))
         return res;
-    vmas_[va] = OsVma{va, len, perms};
+    vmas_[va] = len;
 
     std::uint64_t pages = len / kPageBytes;
     res.ok = true;
     res.addr = va;
-    res.latency = costs_.syscallCycles + costs_.vmaTreeCycles +
-                  pages * costs_.perPageCycles;
+    res.latency = oscost::kSyscall + oscost::kVmaTree +
+                  pages * oscost::kPerPage;
     // Touch the leaf PTE lines (kernel writes them).
     for (std::uint64_t p = 0; p < pages; ++p) {
         auto path = table_.walkPath(va + p * kPageBytes);
@@ -92,7 +81,7 @@ PosixVm::munmap(unsigned core, Addr va, std::uint64_t len)
 {
     VmOpResult res;
     auto it = vmas_.find(va);
-    if (it == vmas_.end() || it->second.len != pageAlignUp(len))
+    if (it == vmas_.end() || it->second != pageAlignUp(len))
         return res;
 
     std::uint64_t pages = pageAlignUp(len) / kPageBytes;
@@ -100,9 +89,9 @@ PosixVm::munmap(unsigned core, Addr va, std::uint64_t len)
     vmas_.erase(it);
 
     res.ok = true;
-    res.latency = costs_.syscallCycles + costs_.vmaTreeCycles +
-                  pages * costs_.perPageCycles;
-    res.latency += shootdown(core, va, len, res.ipis);
+    res.latency = oscost::kSyscall + oscost::kVmaTree +
+                  pages * oscost::kPerPage;
+    res.latency += shootdown(core, len, res.ipis);
     return res;
 }
 
@@ -114,13 +103,10 @@ PosixVm::mprotect(unsigned core, Addr va, std::uint64_t len,
     std::uint64_t updated = table_.protect(va, len, perms);
     if (updated == 0)
         return res;
-    auto it = vmas_.find(va);
-    if (it != vmas_.end())
-        it->second.perms = perms;
 
     res.ok = true;
-    res.latency = costs_.syscallCycles + costs_.vmaTreeCycles +
-                  updated * costs_.perPageCycles;
+    res.latency = oscost::kSyscall + oscost::kVmaTree +
+                  updated * oscost::kPerPage;
     // Kernel rewrites the PTEs...
     for (std::uint64_t p = 0; p < updated; ++p) {
         auto path = table_.walkPath(va + p * kPageBytes);
@@ -128,29 +114,7 @@ PosixVm::mprotect(unsigned core, Addr va, std::uint64_t len,
             res.latency += coherence_.write(core, path.back()).latency;
     }
     // ...then must make every core's TLB coherent.
-    res.latency += shootdown(core, va, len, res.ipis);
-    return res;
-}
-
-VmOpResult
-PosixVm::access(unsigned core, Addr va, bool write)
-{
-    VmOpResult res;
-    WalkResult walk = mmus_[core]->translate(va);
-    res.latency = walk.latency;
-    if (!walk.translation)
-        return res; // page fault
-    PagePerms need;
-    need.read = !write;
-    need.write = write;
-    if (!walk.translation->perms.covers(need))
-        return res; // protection fault
-    mem::Access acc = write
-                          ? coherence_.write(core, walk.translation->pa)
-                          : coherence_.read(core, walk.translation->pa);
-    res.latency += acc.latency;
-    res.ok = true;
-    res.addr = walk.translation->pa;
+    res.latency += shootdown(core, len, res.ipis);
     return res;
 }
 

@@ -3,10 +3,9 @@
  * OS-mediated virtual memory operations with TLB-shootdown cost model.
  *
  * Models the slow path the paper argues against (§2.2): mmap/munmap/
- * mprotect as syscalls that traverse and modify the radix page table and
- * broadcast IPI-based TLB shootdowns to every core that may cache the
- * affected translations. Used by the NightCore baseline and by
- * comparison micro-benchmarks.
+ * mprotect as syscalls that modify the radix page table and broadcast
+ * IPI-based TLB shootdowns to every other core. motivation_vm_compare
+ * times these operations against Jord's PrivLib on the same machine.
  */
 
 #ifndef JORD_VM_POSIX_VM_HH
@@ -14,26 +13,25 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <vector>
 
 #include "mem/coherence.hh"
 #include "vm/page_table.hh"
-#include "vm/walker.hh"
 
 namespace jord::vm {
 
 /** Software cost constants for the OS path. */
-struct OsCosts {
-    /** Syscall entry + exit (trap, register save/restore, audit). */
-    sim::Cycles syscallCycles = sim::nsToCycles(250.0);
-    /** Deliver one IPI and run the remote flush handler. */
-    sim::Cycles ipiCycles = sim::nsToCycles(1000.0);
-    /** Kernel bookkeeping per page (VMA tree, rmap, counters). */
-    sim::Cycles perPageCycles = 80;
-    /** Kernel VMA-tree (maple tree) lookup/insert. */
-    sim::Cycles vmaTreeCycles = 120;
-};
+namespace oscost {
+
+/** Syscall entry + exit (trap, register save/restore, audit). */
+inline constexpr sim::Cycles kSyscall = sim::nsToCycles(250.0);
+/** Deliver one IPI and run the remote flush handler. */
+inline constexpr sim::Cycles kIpi = sim::nsToCycles(1000.0);
+/** Kernel bookkeeping per page (VMA tree, rmap, counters). */
+inline constexpr sim::Cycles kPerPage = 80;
+/** Kernel VMA-tree (maple tree) lookup/insert. */
+inline constexpr sim::Cycles kVmaTree = 120;
+
+} // namespace oscost
 
 /** Result of an OS VM operation. */
 struct VmOpResult {
@@ -45,8 +43,8 @@ struct VmOpResult {
 };
 
 /**
- * A process's OS-visible virtual memory: VMA list, page table, per-core
- * MMUs, and timed syscalls.
+ * A process's OS-visible virtual memory: VMA list, page table and
+ * timed syscalls.
  */
 class PosixVm
 {
@@ -64,43 +62,27 @@ class PosixVm
     VmOpResult mprotect(unsigned core, sim::Addr va, std::uint64_t len,
                         PagePerms perms);
 
-    /**
-     * Timed load/store through the conventional MMU.
-     * @return latency; faults are reported with ok == false.
-     */
-    VmOpResult access(unsigned core, sim::Addr va, bool write);
-
-    PageTable &pageTable() { return table_; }
-    Mmu &mmu(unsigned core) { return *mmus_[core]; }
-    const OsCosts &costs() const { return costs_; }
-    OsCosts &costs() { return costs_; }
+    const PageTable &pageTable() const { return table_; }
 
     /** Number of live OS VMAs. */
     std::size_t numVmas() const { return vmas_.size(); }
 
   private:
-    struct OsVma {
-        sim::Addr base;
-        std::uint64_t len;
-        PagePerms perms;
-    };
-
     const sim::MachineConfig &cfg_;
     mem::CoherenceEngine &coherence_;
     PageTable table_;
-    std::vector<std::unique_ptr<Mmu>> mmus_;
-    std::map<sim::Addr, OsVma> vmas_;
-    OsCosts costs_;
+    /** Base VA -> page-aligned length of each live VMA. */
+    std::map<sim::Addr, std::uint64_t> vmas_;
     sim::Addr nextVa_;
     sim::Addr nextPa_;
 
     /**
-     * Broadcast a shootdown for [va, va+len) to every core except the
+     * Broadcast a shootdown of @p len bytes to every core except the
      * initiator; returns the latency (initiator waits for all acks) and
      * the IPI count.
      */
-    sim::Cycles shootdown(unsigned initiator, sim::Addr va,
-                          std::uint64_t len, unsigned &ipis);
+    sim::Cycles shootdown(unsigned initiator, std::uint64_t len,
+                          unsigned &ipis);
 };
 
 } // namespace jord::vm

@@ -314,7 +314,9 @@ TEST(Par, ClusterByteIdenticalAcrossJobCounts)
         cfg.numServers = 4;
         cfg.traffic.mrps = 2.0;
         cfg.traffic.durationUs = 5000.0;
-        return cluster::runCluster(w, cfg, pool.get());
+        cluster::ServerModel model = cluster::calibrateServer(
+            w, cfg.worker, cfg.calibration, pool.get());
+        return cluster::ClusterSim(cfg, model).run();
     };
     cluster::ClusterResult serial = runAt(0);
     cluster::ClusterResult parallel = runAt(4);

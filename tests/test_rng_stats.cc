@@ -57,11 +57,6 @@ TEST(Rng, UniformIntRespectsBounds)
         auto v = rng.uniformInt(std::uint64_t(17));
         EXPECT_LT(v, 17u);
     }
-    for (int i = 0; i < 10000; ++i) {
-        auto v = rng.uniformInt(std::int64_t(-5), std::int64_t(5));
-        EXPECT_GE(v, -5);
-        EXPECT_LE(v, 5);
-    }
 }
 
 TEST(Rng, ExponentialMeanConverges)
@@ -95,16 +90,6 @@ TEST(Rng, LognormalIsPositive)
     Rng rng(17);
     for (int i = 0; i < 10000; ++i)
         EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);
-}
-
-TEST(Rng, BoundedParetoStaysInRange)
-{
-    Rng rng(19);
-    for (int i = 0; i < 10000; ++i) {
-        double v = rng.boundedPareto(1.0, 100.0, 1.5);
-        EXPECT_GE(v, 1.0);
-        EXPECT_LE(v, 100.0 + 1e-9);
-    }
 }
 
 TEST(Rng, SplitProducesIndependentStream)
@@ -144,7 +129,7 @@ TEST(Sampler, PercentilesMatchSortedReference)
     Rng rng(31);
     std::vector<double> ref;
     for (int i = 0; i < 5000; ++i) {
-        double v = rng.uniform(0, 1000);
+        double v = 1000.0 * rng.uniform();
         s.record(v);
         ref.push_back(v);
     }
@@ -376,15 +361,6 @@ TEST(Histogram, ExtremePercentilesPinToObservedRange)
     EXPECT_LE(g.percentile(100), 1000000u);
 }
 
-TEST(Histogram, RenderProducesOutput)
-{
-    Histogram h;
-    for (int i = 1; i < 1000; ++i)
-        h.record(static_cast<std::uint64_t>(i));
-    std::string out = h.render(8);
-    EXPECT_NE(out.find('#'), std::string::npos);
-}
-
 // --- Table -------------------------------------------------------------------
 
 TEST(Table, RendersAlignedColumns)
@@ -396,13 +372,6 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(out.find("longer-name"), std::string::npos);
     EXPECT_NE(out.find("----"), std::string::npos);
     EXPECT_EQ(t.numRows(), 2u);
-}
-
-TEST(Table, CsvOutput)
-{
-    Table t({"a", "b"});
-    t.addRow({"1", "2"});
-    EXPECT_EQ(t.renderCsv(), "a,b\n1,2\n");
 }
 
 TEST(Table, CellFormatting)
