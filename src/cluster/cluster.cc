@@ -74,6 +74,8 @@ ClusterSim::ClusterSim(const ClusterConfig &cfg,
     tenantShed_.assign(source_.numTenants(), 0);
     tenantFailed_.assign(source_.numTenants(), 0);
     tenantSloOk_.assign(source_.numTenants(), 0);
+    if (res_.breaker)
+        breakers_.resize(maxServers_ * source_.numTenants());
 }
 
 void
@@ -123,8 +125,11 @@ ClusterSim::pumpArrival()
         arrivalsDone_ = true;
         return;
     }
-    events_.schedule(arrival->tick, [this, a = *arrival] {
-        onArrival(a);
+    // Exactly one arrival is pending at a time, so it waits in a
+    // member and the closure captures only `this`.
+    nextArrival_ = *arrival;
+    events_.schedule(nextArrival_.tick, [this] {
+        onArrival(nextArrival_);
         pumpArrival();
     });
 }
@@ -148,18 +153,15 @@ ClusterSim::routable()
 bool
 ClusterSim::breakerOpen(std::uint32_t s, std::uint32_t tenant) const
 {
-    auto it =
-        breakers_.find(static_cast<std::uint64_t>(s) << 32 | tenant);
-    return it != breakers_.end() &&
-           it->second.openUntil > events_.curTick();
+    return breakers_[s * source_.numTenants() + tenant].openUntil >
+           events_.curTick();
 }
 
 void
 ClusterSim::breakerResult(std::uint32_t s, std::uint32_t tenant,
                           bool ok)
 {
-    Breaker &breaker =
-        breakers_[static_cast<std::uint64_t>(s) << 32 | tenant];
+    Breaker &breaker = breakers_[s * source_.numTenants() + tenant];
     if (ok) {
         breaker.fails = 0;
         return;
@@ -197,27 +199,56 @@ ClusterSim::onArrival(const Arrival &arrival)
                          breaker_open);
         return;
     }
-    std::uint64_t id = nextReqId_++;
-    ReqState &req = table_[id];
+    std::uint32_t r = allocReq();
+    ReqState &req = table_[r];
+    req.id = nextReqId_++;
     req.arrival = arrival.tick;
     req.tenant = arrival.tenant;
     req.session = arrival.session;
     if (obs_)
-        obs_->onArrival(arrival.tick, id, arrival.tenant, s,
+        obs_->onArrival(arrival.tick, req.id, arrival.tenant, s,
                         inWindow(arrival.tick));
-    dispatchCopy(id, 0, s);
+    dispatchCopy(r, 0, s);
     if (hedgeTicks_ > 0) {
         req.hedgeEv = events_.scheduleAfter(
-            hedgeTicks_, [this, id] { hedgeFire(id); });
+            hedgeTicks_, [this, r] { hedgeFire(r); });
         ++req.refs;
     }
 }
 
-void
-ClusterSim::dispatchCopy(std::uint64_t id, unsigned copy,
-                         std::uint32_t s)
+std::uint32_t
+ClusterSim::allocReq()
 {
-    ReqState &req = table_.find(id)->second;
+    std::uint32_t r;
+    if (freeReqs_.empty()) {
+        r = static_cast<std::uint32_t>(table_.size());
+        table_.emplace_back();
+    } else {
+        r = freeReqs_.back();
+        freeReqs_.pop_back();
+        table_[r] = ReqState{};
+    }
+    table_[r].live = true;
+    return r;
+}
+
+void
+ClusterSim::scheduleDetection(std::uint32_t r, unsigned copy)
+{
+    ReqState &req = table_[r];
+    Copy &c = req.copies[copy];
+    c.state = CopyLost;
+    c.ev = events_.scheduleAfter(
+        failDetectTicks_, [this, key = copyKey(r, copy)] {
+            copyFailed(keyReq(key), keyCopy(key));
+        });
+    ++req.refs;
+}
+
+void
+ClusterSim::dispatchCopy(std::uint32_t r, unsigned copy, std::uint32_t s)
+{
+    ReqState &req = table_[r];
     Copy &c = req.copies[copy];
     c.server = s;
     accrueOccupancy();
@@ -228,64 +259,56 @@ ClusterSim::dispatchCopy(std::uint64_t id, unsigned copy,
     if (injector_.enabled()) {
         unsigned attempt = req.attempt;
         if (servers_[s].down ||
-            injector_.linkDrop(id, attempt, copy)) {
+            injector_.linkDrop(req.id, attempt, copy)) {
             // The dispatch message is lost (dead server or dropped
             // link); the LB only learns at the failure-detection
             // timeout, so the copy holds its outstanding slot until
             // then.
             if (obs_ && !servers_[s].down)
-                obs_->onLinkDrop(events_.curTick(), id, s);
-            c.state = CopyLost;
-            c.ev = events_.scheduleAfter(
-                failDetectTicks_,
-                [this, id, copy] { copyFailed(id, copy); });
-            ++req.refs;
+                obs_->onLinkDrop(events_.curTick(), req.id, s);
+            scheduleDetection(r, copy);
             return;
         }
-        if (injector_.linkDelay(id, attempt, copy)) {
+        if (injector_.linkDelay(req.id, attempt, copy)) {
             if (obs_)
-                obs_->onLinkDelay(events_.curTick(), id, s);
+                obs_->onLinkDelay(events_.curTick(), req.id, s);
             c.state = CopyInFlight;
             c.ev = events_.scheduleAfter(
                 sim::usToCycles(injector_.rates().linkDelayUs,
                                 freqGhz_),
-                [this, id, copy, s] {
-                    ReqState &r = table_.find(id)->second;
-                    --r.refs;
-                    if (r.copies[copy].state == CopyInFlight)
-                        enqueueCopy(id, copy, s);
+                [this, key = copyKey(r, copy)] {
+                    std::uint32_t q = keyReq(key);
+                    unsigned k = keyCopy(key);
+                    ReqState &landed = table_[q];
+                    --landed.refs;
+                    if (landed.copies[k].state == CopyInFlight)
+                        enqueueCopy(q, k, landed.copies[k].server);
                     else
-                        maybeFree(id);
+                        maybeFree(q);
                 });
             ++req.refs;
             return;
         }
     }
-    enqueueCopy(id, copy, s);
+    enqueueCopy(r, copy, s);
 }
 
 void
-ClusterSim::enqueueCopy(std::uint64_t id, unsigned copy,
-                        std::uint32_t s)
+ClusterSim::enqueueCopy(std::uint32_t r, unsigned copy, std::uint32_t s)
 {
-    ReqState &req = table_.find(id)->second;
-    Copy &c = req.copies[copy];
+    ReqState &req = table_[r];
     if (servers_[s].down) {
         // A link-delayed message landing on a box that crashed while
         // it was in flight.
-        c.state = CopyLost;
-        c.ev = events_.scheduleAfter(
-            failDetectTicks_,
-            [this, id, copy] { copyFailed(id, copy); });
-        ++req.refs;
+        scheduleDetection(r, copy);
         return;
     }
-    c.state = CopyQueued;
+    req.copies[copy].state = CopyQueued;
     servers_[s].queue.push_back(
-        QEntry{id, static_cast<std::uint8_t>(copy)});
+        QEntry{r, static_cast<std::uint8_t>(copy)});
     ++req.refs;
     if (obs_)
-        obs_->onQueue(events_.curTick(), id, copy, s);
+        obs_->onQueue(events_.curTick(), req.id, copy, s);
     tryStart(s);
 }
 
@@ -310,13 +333,13 @@ ClusterSim::tryStart(std::uint32_t s)
            !server.queue.empty()) {
         QEntry entry = server.queue.front();
         server.queue.pop_front();
-        ReqState &req = table_.find(entry.id)->second;
+        ReqState &req = table_[entry.req];
         Copy &c = req.copies[entry.copy];
         --req.refs;
         if (c.state != CopyQueued) {
             // A cancelled hedge loser; its outstanding slot was
             // already released when it lost.
-            maybeFree(entry.id);
+            maybeFree(entry.req);
             continue;
         }
         auto &pool = server.warm[req.tenant];
@@ -335,22 +358,22 @@ ClusterSim::tryStart(std::uint32_t s)
         ++server.running;
         c.state = CopyRunning;
         if (obs_)
-            obs_->onStart(now, entry.id, entry.copy, s, req.tenant,
+            obs_->onStart(now, req.id, entry.copy, s, req.tenant,
                           cold_us > 0);
+        std::uint64_t key = copyKey(entry.req, entry.copy);
         c.ev = events_.scheduleAfter(
-            sim::usToCycles(service_us, freqGhz_),
-            [this, id = entry.id, copy = entry.copy] {
-                copyCompleted(id, copy);
+            sim::usToCycles(service_us, freqGhz_), [this, key] {
+                copyCompleted(keyReq(key), keyCopy(key));
             });
         ++req.refs;
-        server.runningCopies.push_back(copyKey(entry.id, entry.copy));
+        server.runningCopies.push_back(key);
     }
 }
 
 void
-ClusterSim::copyCompleted(std::uint64_t id, unsigned copy)
+ClusterSim::copyCompleted(std::uint32_t r, unsigned copy)
 {
-    ReqState &req = table_.find(id)->second;
+    ReqState &req = table_[r];
     Copy &c = req.copies[copy];
     std::uint32_t s = c.server;
     Server &server = servers_[s];
@@ -359,7 +382,7 @@ ClusterSim::copyCompleted(std::uint64_t id, unsigned copy)
     c.state = CopyDead;
     server.runningCopies.erase(std::find(server.runningCopies.begin(),
                                          server.runningCopies.end(),
-                                         copyKey(id, copy)));
+                                         copyKey(r, copy)));
     accrueOccupancy();
     --server.running;
     --outstanding_[s];
@@ -406,9 +429,9 @@ ClusterSim::copyCompleted(std::uint64_t id, unsigned copy)
             --req.refs;
         req.hedgeEv = 0;
     }
-    resolveLoser(id, 1 - copy);
+    resolveLoser(r, 1 - copy);
     if (obs_)
-        obs_->onComplete(now, id, copy, s, req.tenant,
+        obs_->onComplete(now, req.id, copy, s, req.tenant,
                          static_cast<std::uint64_t>(sim::cyclesToNs(
                              now - req.arrival, freqGhz_)),
                          latency_us > tenant_slo);
@@ -417,13 +440,13 @@ ClusterSim::copyCompleted(std::uint64_t id, unsigned copy)
     if (!server.inFleet && outstanding_[s] == 0 && server.poweredOn)
         powerOff(s);
     checkRecovered();
-    maybeFree(id);
+    maybeFree(r);
 }
 
 void
-ClusterSim::resolveLoser(std::uint64_t id, unsigned copy)
+ClusterSim::resolveLoser(std::uint32_t r, unsigned copy)
 {
-    ReqState &req = table_.find(id)->second;
+    ReqState &req = table_[r];
     Copy &c = req.copies[copy];
     // A primary that lost to its hedge is outlier evidence against the
     // server that held it: the request sat there at least until the
@@ -445,7 +468,8 @@ ClusterSim::resolveLoser(std::uint64_t id, unsigned copy)
         if (obs_) {
             obs_->onOutstanding(events_.curTick(), c.server,
                                 outstanding_[c.server]);
-            obs_->onHedgeLoser(events_.curTick(), id, copy, c.server);
+            obs_->onHedgeLoser(events_.curTick(), req.id, copy,
+                               c.server);
         }
         break;
     case CopyInFlight:
@@ -458,7 +482,8 @@ ClusterSim::resolveLoser(std::uint64_t id, unsigned copy)
         if (obs_) {
             obs_->onOutstanding(events_.curTick(), c.server,
                                 outstanding_[c.server]);
-            obs_->onHedgeLoser(events_.curTick(), id, copy, c.server);
+            obs_->onHedgeLoser(events_.curTick(), req.id, copy,
+                               c.server);
         }
         break;
     case CopyRunning: {
@@ -473,7 +498,7 @@ ClusterSim::resolveLoser(std::uint64_t id, unsigned copy)
             --req.refs;
         loser.runningCopies.erase(
             std::find(loser.runningCopies.begin(),
-                      loser.runningCopies.end(), copyKey(id, copy)));
+                      loser.runningCopies.end(), copyKey(r, copy)));
         c.state = CopyDead;
         accrueOccupancy();
         --loser.running;
@@ -482,7 +507,8 @@ ClusterSim::resolveLoser(std::uint64_t id, unsigned copy)
         if (obs_) {
             obs_->onOutstanding(events_.curTick(), c.server,
                                 outstanding_[c.server]);
-            obs_->onHedgeLoser(events_.curTick(), id, copy, c.server);
+            obs_->onHedgeLoser(events_.curTick(), req.id, copy,
+                               c.server);
         }
         loser.warm[req.tenant].push_back(events_.curTick() +
                                          keepAliveTicks_);
@@ -499,9 +525,9 @@ ClusterSim::resolveLoser(std::uint64_t id, unsigned copy)
 }
 
 void
-ClusterSim::copyFailed(std::uint64_t id, unsigned copy)
+ClusterSim::copyFailed(std::uint32_t r, unsigned copy)
 {
-    ReqState &req = table_.find(id)->second;
+    ReqState &req = table_[r];
     Copy &c = req.copies[copy];
     std::uint32_t s = c.server;
     --req.refs;
@@ -515,7 +541,7 @@ ClusterSim::copyFailed(std::uint64_t id, unsigned copy)
         // The hedge twin already completed; this was only the LB
         // noticing the lost copy and releasing its slot.
         checkRecovered();
-        maybeFree(id);
+        maybeFree(r);
         return;
     }
     if (res_.breaker)
@@ -524,7 +550,7 @@ ClusterSim::copyFailed(std::uint64_t id, unsigned copy)
     if (other.state == CopyQueued || other.state == CopyInFlight ||
         other.state == CopyRunning || other.state == CopyLost) {
         // The twin can still win (or will fail on its own timer).
-        maybeFree(id);
+        maybeFree(r);
         return;
     }
     // Retry under the fleet-wide budget, or write the request off.
@@ -543,9 +569,10 @@ ClusterSim::copyFailed(std::uint64_t id, unsigned copy)
             ++retries_;
             ++req.attempt;
             if (obs_)
-                obs_->onRetry(events_.curTick(), id, req.attempt, t);
+                obs_->onRetry(events_.curTick(), req.id, req.attempt,
+                              t);
             req.copies[0] = Copy{};
-            dispatchCopy(id, 0, t);
+            dispatchCopy(r, 0, t);
             checkRecovered();
             return;
         }
@@ -557,27 +584,27 @@ ClusterSim::copyFailed(std::uint64_t id, unsigned copy)
     if (inWindow(req.arrival))
         ++failedWindow_;
     if (obs_)
-        obs_->onFailed(events_.curTick(), id, req.tenant, s);
+        obs_->onFailed(events_.curTick(), req.id, req.tenant, s);
     checkRecovered();
-    maybeFree(id);
+    maybeFree(r);
 }
 
 void
-ClusterSim::hedgeFire(std::uint64_t id)
+ClusterSim::hedgeFire(std::uint32_t r)
 {
-    ReqState &req = table_.find(id)->second;
+    ReqState &req = table_[r];
     --req.refs;
     req.hedgeEv = 0;
     // Hedge only the original attempt: a retry already got a second
     // chance out of the retry budget.
     if (req.done || req.attempt > 0) {
-        maybeFree(id);
+        maybeFree(r);
         return;
     }
     if (res_.hedgeBudgetFrac > 0 &&
         static_cast<double>(hedges_ + 1) >
             res_.hedgeBudgetFrac * static_cast<double>(generated_)) {
-        maybeFree(id);
+        maybeFree(r);
         return;
     }
     std::uint32_t primary = req.copies[0].server;
@@ -597,7 +624,7 @@ ClusterSim::hedgeFire(std::uint64_t id)
             hedgeScratch_.push_back(s);
     }
     if (hedgeScratch_.empty()) {
-        maybeFree(id);
+        maybeFree(r);
         return;
     }
     std::uint32_t s = lb_.pick(hedgeScratch_, outstanding_,
@@ -607,13 +634,13 @@ ClusterSim::hedgeFire(std::uint64_t id)
         (res_.breaker && breakerOpen(s, req.tenant))) {
         // Hedges are best-effort: a full or broken target means no
         // second copy, never a shed.
-        maybeFree(id);
+        maybeFree(r);
         return;
     }
     ++hedges_;
     if (obs_)
-        obs_->onHedge(now, id, s);
-    dispatchCopy(id, 1, s);
+        obs_->onHedge(now, req.id, s);
+    dispatchCopy(r, 1, s);
 }
 
 void
@@ -673,33 +700,18 @@ ClusterSim::crashServer(std::uint32_t s)
     while (!server.queue.empty()) {
         QEntry entry = server.queue.front();
         server.queue.pop_front();
-        ReqState &req = table_.find(entry.id)->second;
-        Copy &c = req.copies[entry.copy];
+        ReqState &req = table_[entry.req];
         --req.refs;
-        if (c.state == CopyQueued && !req.done) {
-            c.state = CopyLost;
-            c.ev = events_.scheduleAfter(
-                failDetectTicks_,
-                [this, id = entry.id, copy = entry.copy] {
-                    copyFailed(id, copy);
-                });
-            ++req.refs;
-        } else {
-            maybeFree(entry.id);
-        }
+        if (req.copies[entry.copy].state == CopyQueued && !req.done)
+            scheduleDetection(entry.req, entry.copy);
+        else
+            maybeFree(entry.req);
     }
     for (std::uint64_t key : server.runningCopies) {
-        std::uint64_t id = key >> 1;
-        auto copy = static_cast<unsigned>(key & 1);
-        ReqState &req = table_.find(id)->second;
-        Copy &c = req.copies[copy];
-        if (events_.cancel(c.ev))
+        ReqState &req = table_[keyReq(key)];
+        if (events_.cancel(req.copies[keyCopy(key)].ev))
             --req.refs;
-        c.state = CopyLost;
-        c.ev = events_.scheduleAfter(
-            failDetectTicks_,
-            [this, id, copy] { copyFailed(id, copy); });
-        ++req.refs;
+        scheduleDetection(keyReq(key), keyCopy(key));
     }
     server.runningCopies.clear();
     server.running = 0;
@@ -810,11 +822,13 @@ ClusterSim::checkRecovered()
 }
 
 void
-ClusterSim::maybeFree(std::uint64_t id)
+ClusterSim::maybeFree(std::uint32_t r)
 {
-    auto it = table_.find(id);
-    if (it != table_.end() && it->second.refs == 0)
-        table_.erase(it);
+    ReqState &req = table_[r];
+    if (req.live && req.refs == 0) {
+        req.live = false;
+        freeReqs_.push_back(r);
+    }
 }
 
 void

@@ -18,9 +18,13 @@
  * event interleaving (asserted by the byte-identity tests). The
  * EventQueue keeps all pending events in one such queue.
  *
- * Bucket vectors are recycled through a small arena (freed buckets
- * park their capacity instead of returning it to the allocator), so a
- * steady-state simulation stops allocating on the event path entirely.
+ * Records are 24-byte trivially copyable keys: the callback lives in
+ * the EventQueue's slot table and the record carries only its index,
+ * so the bucket sort, the heaps and rollover never move a
+ * std::function. Bucket vectors are recycled through a small arena
+ * (freed buckets park their capacity instead of returning it to the
+ * allocator), so a steady-state simulation stops allocating on the
+ * event path entirely.
  */
 
 #ifndef JORD_SIM_CALENDAR_QUEUE_HH
@@ -28,7 +32,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,17 +41,18 @@
 
 namespace jord::sim {
 
-/** Callback type invoked when an event fires. */
-using EventFn = std::function<void()>;
-
 /** One scheduled event, keyed by (when, seq). */
 struct EventRecord {
     Tick when = 0;
     std::uint64_t seq = 0;
-    std::uint64_t handle = 0;
-    EventFn fn;
+    /** Index of the callback in the owning EventQueue's slot table. */
+    std::uint32_t slot = 0;
     bool daemon = false;
 };
+
+static_assert(std::is_trivially_copyable_v<EventRecord> &&
+                  sizeof(EventRecord) == 24,
+              "the calendar queue moves records by value");
 
 /** Strict weak order on the deterministic dispatch key. */
 inline bool
@@ -85,7 +90,7 @@ class CalendarQueue
     {
         ++size_;
         if (rec.when >= yearEnd_) {
-            far_.push_back(std::move(rec));
+            far_.push_back(rec);
             std::push_heap(far_.begin(), far_.end(), FarGreater{});
             return;
         }
@@ -96,17 +101,17 @@ class CalendarQueue
         // preserves exact order for anything at or behind the current
         // bucket anyway.
         if (rec.when < yearStart_) {
-            near_.push_back(std::move(rec));
+            near_.push_back(rec);
             std::push_heap(near_.begin(), near_.end(), FarGreater{});
             return;
         }
         std::size_t idx = bucketOf(rec.when);
         if (idx <= curIdx_) {
-            near_.push_back(std::move(rec));
+            near_.push_back(rec);
             std::push_heap(near_.begin(), near_.end(), FarGreater{});
             return;
         }
-        buckets_[idx].push_back(std::move(rec));
+        buckets_[idx].push_back(rec);
     }
 
     /**
@@ -134,10 +139,10 @@ class CalendarQueue
         EventRecord out;
         if (!near_.empty() && next == &near_.front()) {
             std::pop_heap(near_.begin(), near_.end(), FarGreater{});
-            out = std::move(near_.back());
+            out = near_.back();
             near_.pop_back();
         } else {
-            out = std::move(cur_.back());
+            out = cur_.back();
             cur_.pop_back();
         }
         --size_;
@@ -278,16 +283,16 @@ class CalendarQueue
         recycle(cur_);
 
         std::vector<EventRecord> keep;
-        for (EventRecord &rec : far_) {
+        for (const EventRecord &rec : far_) {
             if (rec.when >= yearEnd_) {
-                keep.push_back(std::move(rec));
+                keep.push_back(rec);
                 continue;
             }
             std::size_t idx = bucketOf(rec.when);
             if (idx == 0)
-                cur_.push_back(std::move(rec));
+                cur_.push_back(rec);
             else
-                buckets_[idx].push_back(std::move(rec));
+                buckets_[idx].push_back(rec);
         }
         far_ = std::move(keep);
         std::make_heap(far_.begin(), far_.end(), FarGreater{});

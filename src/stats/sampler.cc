@@ -93,13 +93,26 @@ Sampler::percentile(double p) const
         return 0.0;
     if (p < 0.0 || p > 100.0)
         sim::panic("percentile out of range: %f", p);
-    ensureSorted();
-    if (sorted_.size() == 1)
-        return sorted_[0];
-    double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
+    std::size_t n = samples_.size();
+    if (n == 1)
+        return samples_[0];
+    double rank = p / 100.0 * static_cast<double>(n - 1);
     std::size_t lo = static_cast<std::size_t>(rank);
-    std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
+    std::size_t hi = std::min(lo + 1, n - 1);
     double frac = rank - static_cast<double>(lo);
+    if (!sortedValid_) {
+        // Two order statistics need no full sort: nth_element puts the
+        // lo-th in place with nothing smaller after it, so the hi-th
+        // is the least of the tail. The stale cache is the scratch
+        // buffer and stays stale; only cdf() sorts.
+        sorted_ = samples_;
+        auto at_lo = sorted_.begin() + static_cast<std::ptrdiff_t>(lo);
+        std::nth_element(sorted_.begin(), at_lo, sorted_.end());
+        double v_lo = *at_lo;
+        double v_hi = hi == lo ? v_lo
+                               : *std::min_element(at_lo + 1, sorted_.end());
+        return v_lo + frac * (v_hi - v_lo);
+    }
     return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
 }
 

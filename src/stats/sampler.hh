@@ -47,6 +47,8 @@ class Sampler
 
     /**
      * Exact percentile via linear interpolation between closest ranks.
+     * The two ranks come from the sorted copy cdf() leaves behind, or,
+     * when samples arrived since, from an O(n) selection.
      * @param p Percentile in [0, 100].
      */
     double percentile(double p) const;
@@ -79,6 +81,8 @@ class Sampler
     double max_ = 0.0;
     std::uint64_t rngState_;
 
+    /** Sorted copy of samples_ when sortedValid_; otherwise scratch
+     * space for percentile()'s selection. */
     mutable std::vector<double> sorted_;
     mutable bool sortedValid_ = false;
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -121,6 +122,23 @@ TEST(EventQueue, RunUntilStopsAtLimit)
     EXPECT_EQ(fired.back(), 30u);
 }
 
+TEST(EventQueue, RunUntilSkipsCancelledHead)
+{
+    // A cancelled event inside the limit heads the queue; the live
+    // event behind it lies past the limit and must not fire.
+    EventQueue q;
+    std::vector<Tick> fired;
+    auto early = q.schedule(10, [&] { fired.push_back(10); });
+    q.schedule(100, [&] { fired.push_back(100); });
+    EXPECT_TRUE(q.cancel(early));
+    q.runUntil(50);
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(q.curTick(), 50u);
+    EXPECT_EQ(q.numTombstones(), 0u);
+    q.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{100}));
+}
+
 TEST(EventQueue, RunUntilAdvancesTimeWhenIdle)
 {
     EventQueue q;
@@ -213,6 +231,55 @@ TEST(EventQueue, TombstoneSetStaysBoundedUnderChurn)
         EXPECT_LE(q.numTombstones(), 1u);
     }
     EXPECT_EQ(q.numTombstones(), 0u);
+}
+
+TEST(EventQueue, FiredCallbackIsReleasedWhenItFires)
+{
+    // The slot table destroys a callback when its record pops, not
+    // when the slot is next reused: nothing is scheduled after this
+    // event, and its capture must still be gone once it has fired.
+    EventQueue q;
+    auto owned = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = owned;
+    int seen = 0;
+    q.schedule(10, [&seen, owned] { seen = *owned; });
+    owned.reset();
+    EXPECT_FALSE(watch.expired());
+    EXPECT_TRUE(q.step());
+    EXPECT_EQ(seen, 7);
+    EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventQueue, CancelledCallbackIsReleasedWhenItsRecordDrains)
+{
+    EventQueue q;
+    auto owned = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = owned;
+    bool fired = false;
+    auto handle = q.schedule(10, [&fired, owned] { fired = true; });
+    owned.reset();
+    EXPECT_TRUE(q.cancel(handle));
+    q.run();
+    EXPECT_FALSE(fired);
+    EXPECT_EQ(q.numTombstones(), 0u);
+    EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventQueue, StaleHandleCannotCancelItsSlotsNextEvent)
+{
+    // The cancelled event's slot is recycled for the next schedule;
+    // its old handle must not reach the new occupant.
+    EventQueue q;
+    auto stale = q.schedule(10, [] {});
+    EXPECT_TRUE(q.cancel(stale));
+    q.run();
+    bool fired = false;
+    auto fresh = q.schedule(20, [&] { fired = true; });
+    EXPECT_NE(fresh, stale);
+    EXPECT_FALSE(q.cancel(stale));
+    q.run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(q.numDispatched(), 1u);
 }
 
 TEST(EventQueue, CalendarStorageMatchesReferenceOrder)

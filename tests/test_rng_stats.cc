@@ -123,6 +123,39 @@ TEST(Sampler, BasicMoments)
     EXPECT_NEAR(s.stddev(), std::sqrt(2.5), 1e-12);
 }
 
+namespace {
+
+/** The interpolated percentile of an already sorted reference. */
+double
+sortedPercentile(const std::vector<double> &sorted, double p)
+{
+    double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    auto lo = static_cast<std::size_t>(rank);
+    double frac = rank - static_cast<double>(lo);
+    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+const double kRefPercentiles[] = {0.0,  10.0, 50.0, 90.0,
+                                  99.0, 99.9, 100.0};
+
+/** Exact equality with @p ref for every reference percentile, first
+ * with no sorted cache (selection) and again after cdf() sorted. */
+void
+expectExactPercentiles(const Sampler &s, std::vector<double> ref)
+{
+    std::sort(ref.begin(), ref.end());
+    for (double p : kRefPercentiles)
+        EXPECT_EQ(s.percentile(p), sortedPercentile(ref, p))
+            << "p=" << p;
+    ASSERT_FALSE(s.cdf(16).empty());
+    for (double p : kRefPercentiles)
+        EXPECT_EQ(s.percentile(p), sortedPercentile(ref, p))
+            << "p=" << p << " after cdf()";
+}
+
+} // namespace
+
 TEST(Sampler, PercentilesMatchSortedReference)
 {
     Sampler s;
@@ -133,15 +166,51 @@ TEST(Sampler, PercentilesMatchSortedReference)
         s.record(v);
         ref.push_back(v);
     }
-    std::sort(ref.begin(), ref.end());
-    for (double p : {0.0, 10.0, 50.0, 90.0, 99.0, 100.0}) {
-        double rank = p / 100.0 * (ref.size() - 1);
-        auto lo = static_cast<std::size_t>(rank);
-        double frac = rank - static_cast<double>(lo);
-        double expect =
-            ref[lo] +
-            frac * (ref[std::min(lo + 1, ref.size() - 1)] - ref[lo]);
-        EXPECT_NEAR(s.percentile(p), expect, 1e-9) << "p=" << p;
+    expectExactPercentiles(s, ref);
+
+    // Duplicates: few distinct values, so ranks straddle equal runs.
+    Sampler dup;
+    std::vector<double> dup_ref;
+    for (int i = 0; i < 3001; ++i) {
+        double v = static_cast<double>(rng.uniformInt(7)) * 1.5;
+        dup.record(v);
+        dup_ref.push_back(v);
+    }
+    expectExactPercentiles(dup, dup_ref);
+
+    // Merged: the union of both samplers' retained samples.
+    Sampler merged;
+    merged.merge(s);
+    merged.merge(dup);
+    std::vector<double> merged_ref = ref;
+    merged_ref.insert(merged_ref.end(), dup_ref.begin(), dup_ref.end());
+    expectExactPercentiles(merged, merged_ref);
+
+    // New samples after cdf() make the cache stale again.
+    s.record(-1.0);
+    s.record(2000.0);
+    ref.push_back(-1.0);
+    ref.push_back(2000.0);
+    expectExactPercentiles(s, ref);
+
+    // Reservoir-capped: the retained subset cannot be listed, so the
+    // reference is the sorted path, on the same sampler once cdf() has
+    // sorted it and on an uncapped sampler that merged that subset.
+    Sampler capped(1000);
+    for (int i = 0; i < 20000; ++i)
+        capped.record(rng.lognormal(1.0, 0.8));
+    Sampler retained;
+    retained.merge(capped);
+    ASSERT_EQ(retained.count(), 1000u);
+    std::vector<double> selected;
+    for (double p : kRefPercentiles)
+        selected.push_back(capped.percentile(p));
+    ASSERT_FALSE(capped.cdf(16).empty());
+    ASSERT_FALSE(retained.cdf(16).empty());
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+        double p = kRefPercentiles[i];
+        EXPECT_EQ(selected[i], capped.percentile(p)) << "p=" << p;
+        EXPECT_EQ(selected[i], retained.percentile(p)) << "p=" << p;
     }
 }
 
