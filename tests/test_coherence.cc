@@ -180,6 +180,66 @@ TEST_F(CoherenceTest, L1LruKeepsHotLines)
     EXPECT_TRUE(engine.cachedIn(0, kA));
 }
 
+// --- What the test hooks leave in the L1 LRU --------------------------------
+
+/** An engine whose L1s hold two lines, so the third block evicts. */
+class TwoLineL1Test : public ::testing::Test
+{
+  protected:
+    static constexpr Addr kC = 0x3000;
+
+    static MachineConfig
+    twoLines()
+    {
+        MachineConfig cfg = MachineConfig::isca25Default();
+        cfg.l1Lines = 2;
+        return cfg;
+    }
+
+    MachineConfig cfg = twoLines();
+    Mesh mesh{cfg};
+    CoherenceEngine engine{cfg, mesh};
+
+    void
+    SetUp() override
+    {
+        engine.read(0, kA);
+        engine.read(0, kB); // LRU order: B, A
+    }
+};
+
+TEST_F(TwoLineL1Test, EvictL1KeepsTheBlocksSlot)
+{
+    // The directory forgets core 0 as a sharer of B, but B stays listed
+    // (most recent) in core 0's L1: the next fill evicts A, not B.
+    engine.evictL1(0, kB);
+    EXPECT_FALSE(engine.cachedIn(0, kB));
+    engine.read(0, kC);
+    EXPECT_FALSE(engine.cachedIn(0, kA));
+    EXPECT_TRUE(engine.cachedIn(0, kC));
+}
+
+TEST_F(TwoLineL1Test, EvictDirectoryKeepsTheBlockListed)
+{
+    engine.evictDirectory(kB);
+    EXPECT_FALSE(engine.cachedIn(0, kB));
+    engine.read(0, kC);
+    EXPECT_FALSE(engine.cachedIn(0, kA));
+    EXPECT_TRUE(engine.cachedIn(0, kC));
+}
+
+TEST_F(TwoLineL1Test, ALaterLineTakesBackTheListing)
+{
+    // Re-reading B after its directory entry went re-touches the one
+    // listing it kept; a second listing for B would make B the victim.
+    engine.evictDirectory(kB);
+    engine.read(0, kB);
+    engine.read(0, kC);
+    EXPECT_TRUE(engine.cachedIn(0, kB));
+    EXPECT_FALSE(engine.cachedIn(0, kA));
+    EXPECT_TRUE(engine.cachedIn(0, kC));
+}
+
 TEST_F(CoherenceTest, StatsCount)
 {
     engine.read(0, kA);
@@ -359,17 +419,24 @@ struct DigestObserver : TranslationObserver {
 
 /**
  * Fixed-seed random reads, writes, atomics, forced L1 and directory
- * evictions and two full flushes on the 32-core machine with
- * @p l1_lines L1 lines, over 12288 distinct blocks in three address
- * patterns, with a hot subset that keeps lines shared. Invalidations
- * therefore interleave with L1 capacity evictions. Returns a digest of
+ * evictions and two full flushes on @p machine with @p l1_lines L1
+ * lines, over 12288 distinct blocks in three address patterns, with a
+ * hot subset that keeps lines shared. Invalidations therefore
+ * interleave with L1 capacity evictions. @p reads of every 100000
+ * operations are reads; the rest split 35:10:10:5 into writes, atomics,
+ * forced L1 evictions and directory evictions. Returns a digest of
  * every access outcome, every observer callback and the final
  * per-block directory and residency state.
  */
 std::uint64_t
-randomScriptDigest(unsigned l1_lines)
+randomScriptDigest(const MachineConfig &machine, unsigned l1_lines,
+                   std::uint64_t reads = 40000)
 {
-    MachineConfig cfg = MachineConfig::isca25Default();
+    const std::uint64_t rest = 100000 - reads;
+    const std::uint64_t writes_end = reads + rest * 35 / 60;
+    const std::uint64_t atomics_end = reads + rest * 45 / 60;
+    const std::uint64_t evicts_end = reads + rest * 55 / 60;
+    MachineConfig cfg = machine;
     cfg.l1Lines = l1_lines;
     Mesh mesh{cfg};
     CoherenceEngine engine{cfg, mesh};
@@ -395,13 +462,13 @@ randomScriptDigest(unsigned l1_lines)
         bool tbit = rng.chance(0.3);
         std::uint64_t kind = rng.uniformInt(100000);
         Access acc;
-        if (kind < 40000) {
+        if (kind < reads) {
             acc = engine.read(core, addr, tbit);
-        } else if (kind < 75000) {
+        } else if (kind < writes_end) {
             acc = engine.write(core, addr, tbit);
-        } else if (kind < 85000) {
+        } else if (kind < atomics_end) {
             acc = engine.atomic(core, addr);
-        } else if (kind < 95000) {
+        } else if (kind < evicts_end) {
             engine.evictL1(core, addr);
         } else {
             engine.evictDirectory(addr);
@@ -441,9 +508,22 @@ TEST(CoherenceDigest, RandomInterleavingsMatchThePinnedBehaviour)
     // Pinned from the node-based engine (std::unordered_map line table,
     // std::list L1 LRU). Any change to the line table or the LRU must
     // reproduce every access, callback and final state exactly.
-    EXPECT_EQ(randomScriptDigest(1), 0x0958c6eed531d092ull);
-    EXPECT_EQ(randomScriptDigest(4), 0x66e3521f3d6741f9ull);
-    EXPECT_EQ(randomScriptDigest(512), 0x328fbdca03e1dbb9ull);
+    const MachineConfig cfg = MachineConfig::isca25Default();
+    EXPECT_EQ(randomScriptDigest(cfg, 1), 0x0958c6eed531d092ull);
+    EXPECT_EQ(randomScriptDigest(cfg, 4), 0x66e3521f3d6741f9ull);
+    EXPECT_EQ(randomScriptDigest(cfg, 512), 0x328fbdca03e1dbb9ull);
+}
+
+TEST(CoherenceDigest, WideSharingOnTwoSocketsMatchesThePinnedBehaviour)
+{
+    // Fig. 14's largest machine, where half the homes sit across the
+    // socket link. With 512-line L1s a block is listed by up to ~50
+    // cores; the read-mostly script also grows sharer sets past 64
+    // cores before a write invalidates them.
+    const MachineConfig cfg = MachineConfig::scaled(256, 2);
+    EXPECT_EQ(randomScriptDigest(cfg, 4), 0x92b789db30475b89ull);
+    EXPECT_EQ(randomScriptDigest(cfg, 512), 0x64a39ed003e36180ull);
+    EXPECT_EQ(randomScriptDigest(cfg, 512, 99000), 0x78cec308176c680bull);
 }
 
 // --- CoreMask ----------------------------------------------------------------
