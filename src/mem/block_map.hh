@@ -2,12 +2,11 @@
  * @file
  * Open-addressed hash map keyed by cache-block address.
  *
- * The coherence engine looks up a block on every access, in its line
- * table and in the requesting core's L1 residency index. This map keeps
- * those lookups to one multiplicative hash and a short linear probe over
- * one flat array: power-of-two capacity, load factor at most 1/2,
- * backward-shift deletion (no tombstones). Keys must be block-aligned;
- * an unaligned sentinel marks empty slots.
+ * The coherence engine looks a block up in its line table on every
+ * access. This map keeps that lookup to one multiplicative hash and a
+ * short linear probe over one flat array: power-of-two capacity, load
+ * factor at most 1/2, backward-shift deletion (no tombstones). Keys must
+ * be block-aligned; an unaligned sentinel marks empty slots.
  *
  * Growth and deletion move entries: a pointer or reference into the map
  * is valid only until the next insert or erase.

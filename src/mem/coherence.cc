@@ -1,6 +1,7 @@
 #include "mem/coherence.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "probe/probe.hh"
 #include "sim/logging.hh"
@@ -16,113 +17,115 @@ CoherenceEngine::CoherenceEngine(const sim::MachineConfig &cfg,
 {
 }
 
-bool
-CoherenceEngine::CoreL1::touch(Addr addr)
-{
-    const std::uint32_t *node = index_.find(addr);
-    if (!node)
-        return false;
-    if (*node != head_) {
-        unlink(*node);
-        link(*node);
-    }
-    return true;
-}
-
 void
-CoherenceEngine::CoreL1::pushFront(Addr addr)
+CoherenceEngine::linkLru(std::uint32_t node)
 {
-    std::uint32_t node = free_;
-    if (node != kNil) {
-        free_ = nodes_[node].next;
-    } else {
-        node = static_cast<std::uint32_t>(nodes_.size());
-        nodes_.emplace_back();
-    }
-    nodes_[node].addr = addr;
-    link(node);
-    index_[addr] = node;
-}
-
-Addr
-CoherenceEngine::CoreL1::popBack()
-{
-    Addr addr = nodes_[tail_].addr;
-    erase(addr);
-    return addr;
-}
-
-void
-CoherenceEngine::CoreL1::erase(Addr addr)
-{
-    if (std::optional<std::uint32_t> node = index_.erase(addr)) {
-        unlink(*node);
-        release(*node);
-    }
-}
-
-void
-CoherenceEngine::CoreL1::clear()
-{
-    nodes_.clear();
-    index_.clear();
-    head_ = tail_ = free_ = kNil;
-}
-
-void
-CoherenceEngine::CoreL1::link(std::uint32_t node)
-{
-    nodes_[node].prev = kNil;
-    nodes_[node].next = head_;
-    if (head_ != kNil)
-        nodes_[head_].prev = node;
+    Listing &n = listings_[node];
+    CoreL1 &l1 = l1s_[n.core];
+    n.prev = kNil;
+    n.next = l1.head;
+    if (l1.head != kNil)
+        listings_[l1.head].prev = node;
     else
-        tail_ = node;
-    head_ = node;
+        l1.tail = node;
+    l1.head = node;
+    ++l1.size;
 }
 
 void
-CoherenceEngine::CoreL1::unlink(std::uint32_t node)
+CoherenceEngine::unlinkLru(std::uint32_t node)
 {
-    const Node &n = nodes_[node];
+    const Listing &n = listings_[node];
+    CoreL1 &l1 = l1s_[n.core];
     if (n.prev != kNil)
-        nodes_[n.prev].next = n.next;
+        listings_[n.prev].next = n.next;
     else
-        head_ = n.next;
+        l1.head = n.next;
     if (n.next != kNil)
-        nodes_[n.next].prev = n.prev;
+        listings_[n.next].prev = n.prev;
     else
-        tail_ = n.prev;
+        l1.tail = n.prev;
+    --l1.size;
 }
 
 void
-CoherenceEngine::CoreL1::release(std::uint32_t node)
+CoherenceEngine::touchL1(unsigned core, Line &line, Addr addr)
 {
-    nodes_[node].next = free_;
-    free_ = node;
+    // The chain is short: one listing per core whose L1 lists the block.
+    for (std::uint32_t node = line.listings; node != kNil;
+         node = listings_[node].chain) {
+        if (listings_[node].core == core) {
+            if (l1s_[core].head != node) {
+                unlinkLru(node);
+                linkLru(node);
+            }
+            return;
+        }
+    }
+    std::uint32_t node = freeListings_;
+    if (node != kNil) {
+        freeListings_ = listings_[node].next;
+    } else {
+        node = static_cast<std::uint32_t>(listings_.size());
+        listings_.emplace_back();
+    }
+    listings_[node].addr = addr;
+    listings_[node].chain = line.listings;
+    listings_[node].core = core;
+    line.listings = node;
+    linkLru(node);
+    while (l1s_[core].size > cfg_.l1Lines)
+        evictLru(core);
 }
 
 void
-CoherenceEngine::touchL1(unsigned core, Addr addr)
+CoherenceEngine::evictLru(unsigned core)
 {
-    CoreL1 &l1 = l1s_[core];
-    if (l1.touch(addr))
-        return;
-    l1.pushFront(addr);
-    while (l1.size() > cfg_.l1Lines)
-        evictL1(core, l1.popBack());
+    std::uint32_t victim = l1s_[core].tail;
+    Addr addr = listings_[victim].addr;
+    unlinkLru(victim);
+    Line *line = lines_.find(addr);
+    std::uint32_t *head = line ? &line->listings : erasedChains_.find(addr);
+    std::uint32_t *link = head;
+    while (*link != victim)
+        link = &listings_[*link].chain;
+    *link = listings_[victim].chain;
+    listings_[victim].next = freeListings_;
+    freeListings_ = victim;
+    if (line)
+        clearSharer(core, *line);
+    else if (*head == kNil)
+        erasedChains_.erase(addr);
 }
 
 void
-CoherenceEngine::dropFromL1(unsigned core, Addr addr)
+CoherenceEngine::dropListings(Line &line, unsigned except)
 {
-    l1s_[core].erase(addr);
+    std::uint32_t *link = &line.listings;
+    while (*link != kNil) {
+        std::uint32_t node = *link;
+        Listing &n = listings_[node];
+        if (n.core == except || !line.sharers.test(n.core)) {
+            link = &n.chain;
+            continue;
+        }
+        *link = n.chain;
+        unlinkLru(node);
+        n.next = freeListings_;
+        freeListings_ = node;
+    }
 }
 
 CoherenceEngine::Line &
 CoherenceEngine::lineFor(Addr addr)
 {
-    return lines_[sim::blockAlign(addr)];
+    addr = sim::blockAlign(addr);
+    Line &line = lines_[addr];
+    if (line.listings == kNil && erasedChains_.size() != 0) {
+        if (std::optional<std::uint32_t> chain = erasedChains_.erase(addr))
+            line.listings = *chain;
+    }
+    return line;
 }
 
 CacheState
@@ -148,8 +151,7 @@ CoherenceEngine::sharersOf(Addr addr) const
 
 Cycles
 CoherenceEngine::invalidateSharers(unsigned home, Line &line,
-                                   Addr addr_of_line, unsigned except,
-                                   unsigned &messages)
+                                   unsigned except, unsigned &messages)
 {
     Cycles worst = 0;
     line.sharers.forEach([&](unsigned sharer) {
@@ -161,8 +163,8 @@ CoherenceEngine::invalidateSharers(unsigned home, Line &line,
         worst = std::max(worst, rt);
         messages += 2;
         ++stats_.invalidations;
-        dropFromL1(sharer, addr_of_line);
     });
+    dropListings(line, except);
     CoreMask keep;
     if (line.sharers.test(except))
         keep.set(except);
@@ -196,7 +198,7 @@ CoherenceEngine::read(unsigned core, Addr addr, bool tbit)
         acc.l1Hit = true;
         acc.latency = cfg_.l1HitCycles;
         ++stats_.l1Hits;
-        touchL1(core, addr);
+        touchL1(core, line, addr);
         if (tbit && observer_)
             observer_->translationRead(core, addr);
         noteAccess(core, acc, core);
@@ -229,7 +231,7 @@ CoherenceEngine::read(unsigned core, Addr addr, bool tbit)
         ++stats_.llcHits;
         if (line.state == CacheState::Invalid || line.sharers.none()) {
             line.state = CacheState::Exclusive;
-            line.owner = core;
+            line.owner = static_cast<std::uint16_t>(core);
         } else {
             line.state = CacheState::Shared;
         }
@@ -242,11 +244,11 @@ CoherenceEngine::read(unsigned core, Addr addr, bool tbit)
         ++stats_.dramFills;
         line.inLlc = true;
         line.state = CacheState::Exclusive;
-        line.owner = core;
+        line.owner = static_cast<std::uint16_t>(core);
         line.sharers.set(core);
     }
 
-    touchL1(core, addr);
+    touchL1(core, line, addr);
 
     if (tbit && observer_)
         observer_->translationRead(core, addr);
@@ -278,7 +280,7 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
         acc.l1Hit = true;
         acc.latency = cfg_.l1HitCycles;
         ++stats_.l1Hits;
-        touchL1(core, addr);
+        touchL1(core, line, addr);
         if (tbit && observer_)
             observer_->translationWriteLocal(core, addr);
         noteAccess(core, acc, core);
@@ -301,8 +303,8 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
         lat += mesh_.latency(owner, core, noc::MsgKind::Data);
         acc.messages += 2;
         ++stats_.invalidations;
-        line.sharers.forEach(
-            [&](unsigned sharer) { dropFromL1(sharer, addr); });
+        // The writer's own listing, if any, is re-touched below.
+        dropListings(line, core);
         line.sharers.reset();
         line.inLlc = true;
         acc.llcHit = true;
@@ -310,8 +312,7 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
     } else if (line.state == CacheState::Shared) {
         // Upgrade: parallel invalidations to all other sharers; data comes
         // from the LLC if this core was not already a sharer.
-        Cycles inval =
-            invalidateSharers(home, line, addr, core, acc.messages);
+        Cycles inval = invalidateSharers(home, line, core, acc.messages);
         Cycles data = line.sharers.test(core)
                           ? 0
                           : mesh_.latency(home, core, noc::MsgKind::Data);
@@ -334,10 +335,10 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
     }
 
     line.state = CacheState::Modified;
-    line.owner = core;
+    line.owner = static_cast<std::uint16_t>(core);
     line.sharers.reset();
     line.sharers.set(core);
-    touchL1(core, addr);
+    touchL1(core, line, addr);
 
     if (tbit && observer_) {
         lat += observer_->translationWrite(core, addr, prev_sharers);
@@ -359,12 +360,8 @@ CoherenceEngine::atomic(unsigned core, Addr addr)
 }
 
 void
-CoherenceEngine::evictL1(unsigned core, Addr addr)
+CoherenceEngine::clearSharer(unsigned core, Line &line)
 {
-    Line *found = lines_.find(sim::blockAlign(addr));
-    if (!found)
-        return;
-    Line &line = *found;
     if (!line.sharers.test(core))
         return;
     line.sharers.clear(core);
@@ -381,6 +378,13 @@ CoherenceEngine::evictL1(unsigned core, Addr addr)
 }
 
 void
+CoherenceEngine::evictL1(unsigned core, Addr addr)
+{
+    if (Line *line = lines_.find(sim::blockAlign(addr)))
+        clearSharer(core, *line);
+}
+
+void
 CoherenceEngine::evictDirectory(Addr addr)
 {
     addr = sim::blockAlign(addr);
@@ -389,6 +393,8 @@ CoherenceEngine::evictDirectory(Addr addr)
         return;
     if (observer_)
         observer_->directoryEvict(addr, line->sharers);
+    if (line->listings != kNil)
+        erasedChains_[addr] = line->listings;
     lines_.erase(addr);
 }
 
@@ -396,8 +402,11 @@ void
 CoherenceEngine::flushAll()
 {
     lines_.clear();
+    listings_.clear();
+    freeListings_ = kNil;
     for (auto &l1 : l1s_)
-        l1.clear();
+        l1 = CoreL1{};
+    erasedChains_.clear();
 }
 
 } // namespace jord::mem

@@ -413,12 +413,18 @@ WorkerServer::dispatchScan(OrchState &o, unsigned orch_idx,
     // RPCValet-style JBSQ: load each managed executor's queue-length
     // line; lines unchanged since the last scan hit in the L1, changed
     // ones pay a coherence round trip, overlapped up to dispatchMlp.
-    Cycles lat = 8 + static_cast<Cycles>(o.execs.size()) / 4;
+    // Visit the executors from the tie-break rotation onward, wrapping
+    // once; the first least-loaded one wins.
+    const auto n = static_cast<unsigned>(o.execs.size());
+    Cycles lat = 8 + static_cast<Cycles>(n) / 4;
     Cycles miss_total = 0;
     unsigned misses = 0;
-    unsigned best = o.execs[o.rr % o.execs.size()];
-    for (unsigned i = 0; i < o.execs.size(); ++i) {
-        unsigned ei = o.execs[(o.rr + i) % o.execs.size()];
+    unsigned at = o.rr;
+    unsigned best = o.execs[at];
+    for (unsigned i = 0; i < n; ++i) {
+        unsigned ei = o.execs[at];
+        if (++at == n)
+            at = 0;
         ExecState &e = execs_[ei];
         if (e.dirtyFor[orch_idx]) {
             miss_total +=
@@ -426,10 +432,10 @@ WorkerServer::dispatchScan(OrchState &o, unsigned orch_idx,
             ++misses;
             e.dirtyFor[orch_idx] = false;
         }
-        if (execs_[ei].outstanding < execs_[best].outstanding)
+        if (e.outstanding < execs_[best].outstanding)
             best = ei;
     }
-    o.rr = (o.rr + 1) % o.execs.size();
+    o.rr = o.rr + 1 == n ? 0 : o.rr + 1;
     if (misses > 0) {
         unsigned overlap = std::max(
             1u, std::min(cfg_.dispatchMlp, misses));

@@ -59,7 +59,6 @@ UatSystem::vtwWalk(unsigned core, Addr va, PdId pd, Vlb &target)
         return out;
     }
 
-    out.entry.valid = true;
     out.entry.vteAddr = walk.vteAddr;
     out.entry.base = walk.vmaBase;
     out.entry.bound = vte.bound;

@@ -1,5 +1,7 @@
 #include "uat/vlb.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace jord::uat {
@@ -10,15 +12,18 @@ Vlb::Vlb(unsigned entries)
 {
     if (entries == 0)
         sim::fatal("VLB must have at least one entry");
+    if (entries > 64)
+        sim::fatal("VLB of %u entries: at most 64 are supported", entries);
     entries_.assign(entries, VlbEntry{});
 }
 
 std::optional<VlbEntry>
 Vlb::lookup(Addr va, PdId pd)
 {
-    for (auto &entry : entries_) {
-        if (!entry.valid)
+    for (unsigned i = 0; i < entries_.size(); ++i) {
+        if (!((valid_ >> i) & 1))
             continue;
+        VlbEntry &entry = entries_[i];
         if (va < entry.base || va - entry.base >= entry.bound)
             continue;
         if (!entry.global && entry.pd != pd)
@@ -31,43 +36,52 @@ Vlb::lookup(Addr va, PdId pd)
     return std::nullopt;
 }
 
+unsigned
+Vlb::victimFor(const VlbEntry &entry)
+{
+    // Replace in place any existing entry the new fill supersedes:
+    // same VTE with overlapping lookup visibility (same PD, or either
+    // entry global). Requiring identical {PD, G} here left a stale
+    // duplicate behind when a permission change flipped the G bit
+    // between two fills of the same VTE.
+    for (std::uint64_t live = valid_; live; live &= live - 1) {
+        auto i = static_cast<unsigned>(std::countr_zero(live));
+        const VlbEntry &slot = entries_[i];
+        if (slot.vteAddr == entry.vteAddr &&
+            (slot.global || entry.global || slot.pd == entry.pd))
+            return i;
+    }
+    std::uint64_t invalid = ~valid_;
+    if (entries_.size() < 64)
+        invalid &= (1ull << entries_.size()) - 1;
+    if (invalid)
+        return static_cast<unsigned>(std::countr_zero(invalid));
+    unsigned lru = 0;
+    for (unsigned i = 1; i < entries_.size(); ++i)
+        if (entries_[i].lastUse < entries_[lru].lastUse)
+            lru = i;
+    if (entries_[lru].vteAddr != entry.vteAddr)
+        ++stats_.evictions;
+    return lru;
+}
+
 void
 Vlb::insert(const VlbEntry &entry)
 {
-    VlbEntry *victim = nullptr;
-    for (auto &slot : entries_) {
-        // Replace in place any existing entry the new fill supersedes:
-        // same VTE with overlapping lookup visibility (same PD, or
-        // either entry global). Requiring identical {PD, G} here left
-        // a stale duplicate behind when a permission change flipped
-        // the G bit between two fills of the same VTE.
-        if (slot.valid && slot.vteAddr == entry.vteAddr &&
-            (slot.global || entry.global || slot.pd == entry.pd)) {
-            victim = &slot;
-            break;
-        }
-        if (!slot.valid) {
-            if (!victim || victim->valid)
-                victim = &slot;
-            continue;
-        }
-        if (!victim || (victim->valid && slot.lastUse < victim->lastUse))
-            victim = &slot;
-    }
-    if (victim->valid && victim->vteAddr != entry.vteAddr)
-        ++stats_.evictions;
-    *victim = entry;
-    victim->valid = true;
-    victim->lastUse = ++useClock_;
+    unsigned victim = victimFor(entry);
+    entries_[victim] = entry;
+    entries_[victim].lastUse = ++useClock_;
+    valid_ |= 1ull << victim;
 }
 
 unsigned
 Vlb::invalidateVte(Addr vte_addr)
 {
     unsigned n = 0;
-    for (auto &entry : entries_) {
-        if (entry.valid && entry.vteAddr == vte_addr) {
-            entry.valid = false;
+    for (std::uint64_t live = valid_; live; live &= live - 1) {
+        auto i = static_cast<unsigned>(std::countr_zero(live));
+        if (entries_[i].vteAddr == vte_addr) {
+            valid_ &= ~(1ull << i);
             ++n;
         }
     }
@@ -78,15 +92,14 @@ Vlb::invalidateVte(Addr vte_addr)
 void
 Vlb::invalidateAll()
 {
-    for (auto &entry : entries_)
-        entry.valid = false;
+    valid_ = 0;
 }
 
 bool
 Vlb::holdsVte(Addr vte_addr) const
 {
-    for (const auto &entry : entries_)
-        if (entry.valid && entry.vteAddr == vte_addr)
+    for (std::uint64_t live = valid_; live; live &= live - 1)
+        if (entries_[std::countr_zero(live)].vteAddr == vte_addr)
             return true;
     return false;
 }
@@ -94,11 +107,7 @@ Vlb::holdsVte(Addr vte_addr) const
 unsigned
 Vlb::occupancy() const
 {
-    unsigned n = 0;
-    for (const auto &entry : entries_)
-        if (entry.valid)
-            ++n;
-    return n;
+    return static_cast<unsigned>(std::popcount(valid_));
 }
 
 } // namespace jord::uat

@@ -19,7 +19,6 @@ namespace jord::uat {
 
 /** One cached range translation. */
 struct VlbEntry {
-    bool valid = false;
     /** Tag used to match T-bit invalidation messages (§4.2). */
     sim::Addr vteAddr = 0;
     sim::Addr base = 0;       ///< VMA base VA
@@ -50,7 +49,9 @@ struct VlbStats {
 };
 
 /**
- * Fully associative, LRU-replaced range VLB.
+ * Fully associative, LRU-replaced range VLB of at most 64 entries. One
+ * bit per entry records whether it is valid, so a shootdown visits only
+ * the valid entries.
  */
 class Vlb
 {
@@ -83,7 +84,12 @@ class Vlb
     void resetStats() { stats_ = VlbStats{}; }
 
   private:
+    /** The entry @p entry replaces: one it supersedes, else the first
+     * invalid one, else the least recently used (an eviction). */
+    unsigned victimFor(const VlbEntry &entry);
+
     std::vector<VlbEntry> entries_;
+    std::uint64_t valid_ = 0; ///< bit i set: entries_[i] is valid
     std::uint64_t useClock_ = 0;
     VlbStats stats_;
 };

@@ -271,7 +271,6 @@ TEST(VlbRegression, PermissionChangeReplacesInsteadOfDuplicating)
     // permission win lookups after a downgrade.
     Vlb vlb(8);
     VlbEntry e;
-    e.valid = true;
     e.vteAddr = 0x2000'0000'0040ull;
     e.base = 0x100'0000'0000ull;
     e.bound = 4096;
@@ -293,7 +292,6 @@ TEST(VlbRegression, GlobalBitFlipReplacesTheSameVte)
     // the same translation; flipping the G bit must not duplicate it.
     Vlb vlb(8);
     VlbEntry e;
-    e.valid = true;
     e.vteAddr = 0x2000'0000'0080ull;
     e.base = 0x100'0000'1000ull;
     e.bound = 4096;
