@@ -4,26 +4,34 @@
  *
  * Events scheduled at the same tick fire in insertion order (FIFO), which
  * together with the seeded RNG makes every simulation run bit-reproducible.
- * Pending events live in one calendar queue keyed by (when, seq).
  *
- * Callbacks do not travel with their keys. Each one moves once into a
- * slot of the queue's slot table when it is scheduled and once out when
- * it fires; the calendar queue sorts and heaps only 24-byte records that
- * name the slot. Freed slots are recycled through a free list, and a
- * fired or cancelled callback is destroyed when its record pops.
+ * Pending events live in a one-tick timing wheel (Varghese & Lauck, SOSP
+ * 1987). A ring of kRingSize slots holds, for each tick t in [cursor,
+ * cursor + kRingSize), a FIFO list of the events at t; the cursor is the
+ * tick of the last dispatched event. Events beyond that horizon wait in a
+ * (when, seq) min-heap and move onto the ring, in heap order, as soon as
+ * the cursor brings their tick inside it. A far event thus joins its slot
+ * before any event can be scheduled into that slot directly, so each
+ * slot's FIFO order is insertion order and dispatch is exactly (when,
+ * insertion) order, with no sort and no tuning.
+ *
+ * Each pending event is a node of one table that also holds its callback.
+ * A handle names a node and the node's generation, which grows whenever
+ * the node is taken or freed: cancel() is one compare, a cancelled node
+ * is dropped when it pops, and no handle is ever issued twice.
  */
 
 #ifndef JORD_SIM_EVENT_QUEUE_HH
 #define JORD_SIM_EVENT_QUEUE_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
-#include "sim/calendar_queue.hh"
 #include "sim/types.hh"
+#include "sim/zeroed_array.hh"
 
 namespace jord::sim {
 
@@ -40,7 +48,7 @@ using EventFn = std::function<void()>;
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    EventQueue() : nodes_(1) {}
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -48,11 +56,11 @@ class EventQueue
     /** Current simulated time in ticks. */
     Tick curTick() const { return curTick_; }
 
-    /** Number of pending events. */
-    std::size_t size() const { return queue_.size(); }
+    /** Number of pending events, cancelled ones included until they pop. */
+    std::size_t size() const { return pending_; }
 
-    /** True when no events are pending. */
-    bool empty() const { return queue_.empty(); }
+    /** True when no events are pending (cancelled ones count until popped). */
+    bool empty() const { return pending_ == 0; }
 
     /** Total number of events dispatched so far. */
     std::uint64_t numDispatched() const { return numDispatched_; }
@@ -62,7 +70,7 @@ class EventQueue
      *
      * @param when Absolute tick; must not be in the past.
      * @param fn Callback to invoke.
-     * @return A handle that can be passed to cancel().
+     * @return A handle that can be passed to cancel(); never 0.
      */
     std::uint64_t schedule(Tick when, EventFn fn);
 
@@ -94,19 +102,18 @@ class EventQueue
      * Cancel a previously scheduled event.
      *
      * @retval true if the event was pending and is now cancelled.
-     * @retval false if it already fired, was already cancelled, or
-     *     never existed. Stale handles are detected exactly (a dense
-     *     liveness window tracks every in-flight handle), so a stale
-     *     cancel can no longer plant a permanent tombstone.
+     * @retval false if it already fired, was already cancelled, was
+     *     dropped by reset(), or never existed. The handle's generation
+     *     must match its node's, so a stale handle never reaches the
+     *     event that reuses its node.
      */
     bool cancel(std::uint64_t handle);
 
     /**
-     * Cancelled-but-not-yet-popped entries (lazy-deletion tombstones).
-     * Bounded by the pending-event count: each tombstone is purged
-     * when its entry's tick passes. Exposed for the regression test.
+     * Cancelled events not yet popped. Each is dropped, and its callback
+     * destroyed, when its tick comes up. Exposed for the regression test.
      */
-    std::size_t numTombstones() const { return cancelled_.size(); }
+    std::size_t numTombstones() const { return numCancelled_; }
 
     /**
      * Dispatch the single next event.
@@ -129,57 +136,71 @@ class EventQueue
     void reset();
 
   private:
-    /** Liveness-window entry states (indexed by handle - aliveBase_). */
-    static constexpr unsigned char kPending = 1;
-    static constexpr unsigned char kDone = 0;
+    static constexpr std::size_t kRingSize = std::size_t{1} << 14;
+    static constexpr std::size_t kRingWords = kRingSize / 64;
+    static_assert(kRingWords % 64 == 0, "whole words of occupiedWords_");
+
+    /**
+     * A pending event, or a free node. The generation is odd while the
+     * node is pending and even while it is free; a handle carries the
+     * odd value it was issued with.
+     */
+    struct Node {
+        EventFn fn;
+        /** Next node in the same ring slot or on the free list; 0 ends. */
+        std::uint32_t next = 0;
+        std::uint32_t gen = 0;
+        bool cancelled = false;
+        bool daemon = false;
+    };
+
+    /** A ring slot's FIFO list. Node 0 is never used, so 0 is "empty". */
+    struct Slot {
+        std::uint32_t head;
+        std::uint32_t tail;
+    };
+
+    /** An event beyond the ring's horizon. */
+    struct Far {
+        Tick when;
+        std::uint64_t seq;
+        std::uint32_t node;
+    };
 
     std::uint64_t push(Tick when, EventFn fn, bool daemon);
-    /** Mark a handle fired/cancelled and trim the liveness window. */
-    void retire(std::uint64_t handle);
+    /** Pop and dispatch the next live event if it is due by @p limit. */
+    bool dispatchNext(Tick limit);
+    /** Make @p when the cursor and pull far events inside the horizon. */
+    void advance(Tick when);
+    void link(std::uint32_t node, Tick when);
+    std::uint32_t unlinkHead(std::size_t slot);
+    /** The first occupied slot at or after @p from, or kRingSize. */
+    std::size_t firstOccupied(std::size_t from) const;
+    /** Destroy a node's callback and free the node. */
+    void release(std::uint32_t node);
 
-    /**
-     * Handles count up with seq, so a record's handle is derived, not
-     * stored: handleBase_ is the handle of seq 0 in the current reset
-     * epoch, and it only grows, so no handle is ever issued twice.
-     */
-    std::uint64_t
-    handleOf(const EventRecord &rec) const
-    {
-        return handleBase_ + rec.seq;
-    }
-
-    /** Destroy a cancelled callback and recycle its slot. */
-    void release(std::uint32_t slot);
-
-    CalendarQueue queue_;
-    /** Callbacks of the queued records, indexed by EventRecord::slot. */
-    std::vector<EventFn> slots_;
-    /** Slots whose record has popped, reused before slots_ grows. */
-    std::vector<std::uint32_t> freeSlots_;
+    /** Node table; node 0 is a sentinel. */
+    std::vector<Node> nodes_;
+    /** Head of the free-node list. */
+    std::uint32_t free_ = 0;
+    /** Zero pages, so construction touches none of the ring. */
+    ZeroedArray<Slot> ring_{kRingSize};
+    /** Bit s set when ring slot s is non-empty. */
+    std::array<std::uint64_t, kRingWords> occupied_{};
+    /** Bit w set when occupied_[w] is non-zero. */
+    std::array<std::uint64_t, kRingWords / 64> occupiedWords_{};
+    /** Min-heap on (when, seq) of the events beyond the ring. */
+    std::vector<Far> far_;
+    std::uint64_t farSeq_ = 0;
+    /** Tick of the last dispatched event; the ring covers the next
+     * kRingSize ticks from here. runUntil() never moves it. */
+    Tick cursor_ = 0;
     Tick curTick_ = 0;
     Tick lastWorkTick_ = 0;
-    std::uint64_t nextSeq_ = 0;
-    std::uint64_t handleBase_ = 1;
+    /** Ring plus far events, cancelled ones included. */
+    std::size_t pending_ = 0;
+    std::size_t numCancelled_ = 0;
     std::uint64_t numDispatched_ = 0;
-    /**
-     * Handles cancelled while still queued (lazy deletion). The
-     * dense liveness window below guarantees only *pending* handles
-     * enter this set, and dispatch purges each tombstone when its
-     * entry pops at its tick — so the set is bounded by the in-flight
-     * cancelled count instead of growing for the whole run.
-     */
-    std::unordered_set<std::uint64_t> cancelled_;
-    /**
-     * Sliding liveness window: entry (h - aliveBase_) says whether
-     * handle h is still queued. Handles are issued sequentially, so a
-     * deque indexed by handle is O(1) and compacts itself as the
-     * oldest handles retire.
-     */
-    std::deque<unsigned char> alive_;
-    std::uint64_t aliveBase_ = 1;
-
-    bool isCancelled(std::uint64_t handle) const;
-    void forgetCancelled(std::uint64_t handle);
 };
 
 } // namespace jord::sim

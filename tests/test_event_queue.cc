@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -284,8 +286,8 @@ TEST(EventQueue, StaleHandleCannotCancelItsSlotsNextEvent)
 
 TEST(EventQueue, CalendarStorageMatchesReferenceOrder)
 {
-    // Deterministic pseudo-random schedule with wide tick spans, dense
-    // same-tick ties, and in-callback reschedules: the calendar-queue
+    // Deterministic pseudo-random schedule with wide tick spans (on
+    // the ring and beyond its horizon) and dense same-tick ties: the
     // storage must reproduce exact (when, insertion) dispatch order.
     EventQueue q;
     std::vector<std::pair<Tick, int>> fired;
@@ -318,11 +320,10 @@ TEST(EventQueue, CalendarStorageMatchesReferenceOrder)
 
 TEST(EventQueue, ScheduleBehindARolledOverCalendarYear)
 {
-    // runUntil() peeks past its limit, and that peek rolls the
-    // calendar year forward to the only (far-future) event. A schedule
-    // that then lands between the limit and the new year start must
-    // still be stored (near heap) and fire in order: the bucket index
-    // computation must not underflow.
+    // runUntil() peeks past its limit at the only (far-future) event.
+    // The peek must not move the ring's cursor, so a schedule that
+    // then lands between the limit and that event is stored on the
+    // ring it still covers and fires first.
     EventQueue q;
     std::vector<Tick> fired;
     q.schedule(1000000, [&] { fired.push_back(q.curTick()); });
@@ -331,6 +332,190 @@ TEST(EventQueue, ScheduleBehindARolledOverCalendarYear)
     q.schedule(100, [&] { fired.push_back(q.curTick()); });
     q.run();
     EXPECT_EQ(fired, (std::vector<Tick>{100, 1000000}));
+}
+
+/**
+ * Drives an EventQueue and a reference ordered by (when, insertion) in
+ * lockstep. Every callback checks that it is the reference's earliest
+ * live event, then may schedule and cancel more.
+ */
+class Differential
+{
+  public:
+    /** Ring size of the queue under test: schedules this far ahead
+     * wait beyond its horizon. */
+    static constexpr Tick kHorizon = Tick{1} << 14;
+
+    enum class State { Pending, Fired, Cancelled, Reset };
+
+    EventQueue q;
+    jord::sim::Rng rng{20261018};
+    /** Live pending events: (when, insertion) -> tag. */
+    std::map<std::pair<Tick, std::uint64_t>, std::size_t> ref;
+    std::vector<std::pair<Tick, std::uint64_t>> keyOf;
+    std::vector<std::uint64_t> handleOf;
+    std::vector<State> stateOf;
+    std::uint64_t inserted = 0;
+    /** Tick of the last dispatch: the queue's ring covers the next
+     * kHorizon ticks from here. */
+    Tick lastFired = 0;
+    /** Pending beyond-the-horizon schedules by tick, for later ties. */
+    std::map<Tick, unsigned> farTicks;
+
+    std::size_t fired = 0;
+    std::size_t directTiesWithFar = 0;
+    std::size_t schedulesBehindFar = 0;
+    std::size_t cancelsByState[4] = {0, 0, 0, 0};
+
+    void
+    schedule(Tick when)
+    {
+        std::size_t tag = handleOf.size();
+        auto key = std::make_pair(when, inserted++);
+        bool far = when - lastFired >= kHorizon;
+        if (far)
+            ++farTicks[when];
+        else if (farTicks.count(when))
+            ++directTiesWithFar;
+        ref.emplace(key, tag);
+        keyOf.push_back(key);
+        stateOf.push_back(State::Pending);
+        handleOf.push_back(q.schedule(when, [this, tag] { fire(tag); }));
+    }
+
+    /** A delay mixing ties, near, mid-ring, far and exact far ticks. */
+    Tick
+    pickWhen()
+    {
+        Tick now = q.curTick();
+        switch (rng.uniformInt(6)) {
+        case 0:
+            return now;
+        case 1:
+            return now + rng.uniformInt(64);
+        case 2:
+            return now + rng.uniformInt(kHorizon);
+        case 3:
+            return now + kHorizon + rng.uniformInt(4 * kHorizon);
+        case 4: {
+            // Tie with a pending far schedule once the ring covers it.
+            auto it = farTicks.lower_bound(now);
+            if (it != farTicks.end())
+                return it->first;
+            return now + 1;
+        }
+        default:
+            return now + rng.uniformInt(3 * kHorizon);
+        }
+    }
+
+    void
+    cancelAny()
+    {
+        if (handleOf.empty())
+            return;
+        std::size_t tag = rng.uniformInt(handleOf.size());
+        bool pending = stateOf[tag] == State::Pending;
+        ++cancelsByState[static_cast<int>(stateOf[tag])];
+        EXPECT_EQ(q.cancel(handleOf[tag]), pending) << "tag " << tag;
+        if (pending) {
+            ref.erase(keyOf[tag]);
+            dropFar(keyOf[tag].first);
+            stateOf[tag] = State::Cancelled;
+        }
+    }
+
+    void
+    dropFar(Tick when)
+    {
+        auto it = farTicks.find(when);
+        if (it != farTicks.end() && --it->second == 0)
+            farTicks.erase(it);
+    }
+
+    void
+    fire(std::size_t tag)
+    {
+        ASSERT_FALSE(ref.empty()) << "tag " << tag << " fired past the end";
+        auto next = ref.begin();
+        ASSERT_EQ(next->second, tag);
+        ASSERT_EQ(next->first.first, q.curTick());
+        ref.erase(next);
+        dropFar(q.curTick());
+        stateOf[tag] = State::Fired;
+        lastFired = q.curTick();
+        ++fired;
+        if (handleOf.size() < 60000 && rng.chance(0.6)) {
+            for (std::uint64_t i = rng.uniformInt(3); i-- > 0;)
+                schedule(pickWhen());
+        }
+        if (rng.chance(0.1))
+            cancelAny();
+    }
+
+    void
+    checkCounts() const
+    {
+        EXPECT_EQ(q.size(), ref.size() + q.numTombstones());
+        EXPECT_EQ(q.empty(), q.size() == 0);
+    }
+};
+
+TEST(EventQueue, MatchesAReferenceUnderRandomOperations)
+{
+    Differential d;
+    for (int op = 0; op < 20000; ++op) {
+        std::uint64_t kind = d.rng.uniformInt(100);
+        if (kind < 40) {
+            for (std::uint64_t i = 1 + d.rng.uniformInt(4); i-- > 0;)
+                d.schedule(d.pickWhen());
+        } else if (kind < 55) {
+            d.cancelAny();
+        } else if (kind < 57) {
+            EXPECT_FALSE(d.q.cancel(0));
+            EXPECT_FALSE(d.q.cancel(~std::uint64_t{0}));
+        } else if (kind < 80) {
+            for (std::uint64_t i = 1 + d.rng.uniformInt(8); i-- > 0;) {
+                bool live = !d.ref.empty();
+                EXPECT_EQ(d.q.step(), live);
+            }
+        } else if (kind < 99) {
+            Tick before = d.q.curTick();
+            Tick limit = before + d.rng.uniformInt(3 * Differential::kHorizon);
+            d.q.runUntil(limit);
+            EXPECT_EQ(d.q.curTick(), std::max(before, limit));
+            if (!d.ref.empty()) {
+                Tick next = d.ref.begin()->first.first;
+                ASSERT_GT(next, limit);
+                // Stopped in front of an event: schedule behind it, or
+                // on its tick, while the cursor still trails the limit.
+                if (next - d.lastFired >= Differential::kHorizon)
+                    ++d.schedulesBehindFar;
+                d.schedule(limit + 1 + d.rng.uniformInt(next - limit));
+            }
+        } else {
+            for (std::size_t tag = 0; tag < d.stateOf.size(); ++tag)
+                if (d.stateOf[tag] == Differential::State::Pending)
+                    d.stateOf[tag] = Differential::State::Reset;
+            d.ref.clear();
+            d.farTicks.clear();
+            d.lastFired = 0;
+            d.q.reset();
+            EXPECT_EQ(d.q.curTick(), 0u);
+            EXPECT_EQ(d.q.numDispatched(), 0u);
+        }
+        d.checkCounts();
+    }
+    d.q.run();
+    EXPECT_TRUE(d.ref.empty());
+    EXPECT_TRUE(d.q.empty());
+    EXPECT_EQ(d.q.numTombstones(), 0u);
+    // Every mix the test is meant to cover did occur.
+    EXPECT_GT(d.fired, 10000u);
+    EXPECT_GT(d.directTiesWithFar, 0u);
+    EXPECT_GT(d.schedulesBehindFar, 0u);
+    for (std::size_t n : d.cancelsByState)
+        EXPECT_GT(n, 0u);
 }
 
 } // namespace
