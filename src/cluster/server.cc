@@ -15,20 +15,26 @@ ServerModel::drawServiceUs(sim::Rng &rng) const
         sim::panic("drawServiceUs on an uncalibrated ServerModel");
     double u = rng.uniform();
     // Linear interpolation along the calibrated CDF; below the first
-    // knot the draw clamps to the minimum observed latency.
+    // knot the draw clamps to the minimum observed latency. The knot
+    // is the first whose fraction is at least u. Calibrated fractions
+    // are evenly spaced (Sampler::cdf), so the search starts where u
+    // falls under even spacing and walks from there; the fractions
+    // ascend, so the walk ends on that knot from any start.
     const auto &q = latencyQuantilesUs;
-    if (u <= q.front().second)
+    const std::size_t n = q.size();
+    std::size_t i = std::min(
+        n - 1, static_cast<std::size_t>(u * static_cast<double>(n)));
+    while (i < n && q[i].second < u)
+        ++i;
+    while (i > 0 && q[i - 1].second >= u)
+        --i;
+    if (i == 0)
         return q.front().first;
-    for (std::size_t i = 1; i < q.size(); ++i) {
-        if (u <= q[i].second) {
-            double span = q[i].second - q[i - 1].second;
-            double frac =
-                span > 0 ? (u - q[i - 1].second) / span : 1.0;
-            return q[i - 1].first +
-                   frac * (q[i].first - q[i - 1].first);
-        }
-    }
-    return q.back().first;
+    if (i == n)
+        return q.back().first;
+    double span = q[i].second - q[i - 1].second;
+    double frac = span > 0 ? (u - q[i - 1].second) / span : 1.0;
+    return q[i - 1].first + frac * (q[i].first - q[i - 1].first);
 }
 
 ServerModel

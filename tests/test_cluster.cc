@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -108,6 +109,95 @@ TEST(Arrivals, ModulatedIsSeedDeterministic)
     }
     EXPECT_EQ(ta, tb);
     EXPECT_NE(ta, tc);
+}
+
+// --- Service-time draws --------------------------------------------------
+
+namespace {
+
+/** The linear CDF scan drawServiceUs used before its knot search. */
+double
+linearScanDraw(const ServerModel &model, double u)
+{
+    const auto &q = model.latencyQuantilesUs;
+    if (u <= q.front().second)
+        return q.front().first;
+    for (std::size_t i = 1; i < q.size(); ++i) {
+        if (u <= q[i].second) {
+            double span = q[i].second - q[i - 1].second;
+            double frac = span > 0 ? (u - q[i - 1].second) / span : 1.0;
+            return q[i - 1].first + frac * (q[i].first - q[i - 1].first);
+        }
+    }
+    return q.back().first;
+}
+
+/** Draws from @p model and the linear scan on one replayed stream. */
+void
+expectDrawsMatchTheLinearScan(const ServerModel &model, std::uint64_t seed,
+                              std::vector<bool> *hit = nullptr)
+{
+    const auto &q = model.latencyQuantilesUs;
+    sim::Rng draws(seed), reference(seed);
+    for (int i = 0; i < 100000; ++i) {
+        double u = reference.uniform();
+        double want = linearScanDraw(model, u);
+        double got = model.drawServiceUs(draws);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "draw " << i << " at u=" << u;
+        auto it = std::lower_bound(
+            q.begin(), q.end(), u,
+            [](const std::pair<double, double> &k, double x) {
+                return k.second < x;
+            });
+        if (hit && it != q.end() && it->second == u)
+            (*hit)[static_cast<std::size_t>(it - q.begin())] = true;
+    }
+}
+
+} // namespace
+
+TEST(ServerModel, KnotSearchMatchesTheLinearScan)
+{
+    // Calibrated knots: fractions (i + 1) / 64, as Sampler::cdf makes.
+    ServerModel even = fakeModel();
+    even.latencyQuantilesUs.clear();
+    for (int i = 0; i < 64; ++i)
+        even.latencyQuantilesUs.emplace_back(1.0 + 0.1 * i + 0.001 * i * i,
+                                             (i + 1) / 64.0);
+    expectDrawsMatchTheLinearScan(even, 7);
+
+    // Uneven knots whose fractions are the first 64 uniforms of the
+    // stream the draws replay, so every knot value is drawn exactly.
+    // Knots 20 and 21 share a fraction (a flat segment), and draws
+    // also land below the lowest knot and above the highest.
+    constexpr std::uint64_t kSeed = 2024;
+    sim::Rng knots(kSeed);
+    std::vector<double> fracs;
+    for (int i = 0; i < 64; ++i)
+        fracs.push_back(knots.uniform());
+    std::sort(fracs.begin(), fracs.end());
+    fracs[21] = fracs[20];
+    ServerModel uneven = fakeModel();
+    uneven.latencyQuantilesUs.clear();
+    for (std::size_t i = 0; i < fracs.size(); ++i)
+        uneven.latencyQuantilesUs.emplace_back(
+            1.0 + 0.25 * static_cast<double>(i / 2), fracs[i]);
+    std::vector<bool> hit(fracs.size(), false);
+    expectDrawsMatchTheLinearScan(uneven, kSeed, &hit);
+    // Knot 21 repeats knot 20's fraction, which the search reports as
+    // knot 20.
+    for (std::size_t k = 0; k < fracs.size(); ++k)
+        EXPECT_TRUE(k == 21 || hit[k]) << "knot " << k << " never drawn";
+    sim::Rng replay(kSeed);
+    bool below = false, above = false;
+    for (int i = 0; i < 100000; ++i) {
+        double u = replay.uniform();
+        below = below || u < fracs.front();
+        above = above || u > fracs.back();
+    }
+    EXPECT_TRUE(below && above);
 }
 
 // --- Traffic models ------------------------------------------------------
