@@ -60,12 +60,11 @@ BTreeVmaTable::freeVte(std::uint32_t idx)
 }
 
 BTreeVmaTable::Node *
-BTreeVmaTable::findLeaf(Addr key, std::vector<Addr> *path) const
+BTreeVmaTable::findLeaf(Addr key, WalkPath &path) const
 {
     Node *node = root_.get();
     while (true) {
-        if (path)
-            path->push_back(node->nodeAddr);
+        path.push_back(node->nodeAddr);
         if (node->leaf)
             return node;
         // First child whose subtree may contain the key.
@@ -83,7 +82,7 @@ BTreeVmaTable::walk(Addr va) const
     auto base = encoding_.vmaBase(va);
     if (!base)
         return out;
-    Node *leaf = findLeaf(*base, &out.readAddrs);
+    Node *leaf = findLeaf(*base, out.readAddrs);
     auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(),
                                *base);
     if (it == leaf->keys.end() || *it != *base) {

@@ -74,7 +74,7 @@ class BTreeVmaTable : public VmaTableBase
     std::uint32_t allocVte();
     void freeVte(std::uint32_t idx);
 
-    Node *findLeaf(sim::Addr key, std::vector<sim::Addr> *path) const;
+    Node *findLeaf(sim::Addr key, WalkPath &path) const;
     void insertIntoLeaf(Node *leaf, sim::Addr key, std::uint32_t vte_idx,
                         TableUpdate &upd);
     void splitChild(Node *parent, unsigned child_pos, TableUpdate &upd);

@@ -20,11 +20,14 @@
 #ifndef JORD_UAT_VMA_TABLE_HH
 #define JORD_UAT_VMA_TABLE_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 #include "sim/zeroed_array.hh"
 #include "uat/size_class.hh"
@@ -35,10 +38,41 @@ namespace jord::uat {
 /** Where the VMA table lives in the (privileged) address space. */
 inline constexpr sim::Addr kVmaTableBase = 0x2000'0000'0000ull;
 
+/**
+ * Block addresses a walk reads, in order, held inline so a VLB miss
+ * allocates nothing. The plain list reads one block and the B-tree its
+ * depth plus the VTE. The B-tree holds at most 2^32 VMAs (its VTE pool
+ * has 32-bit indices), and at its minimum fill that is 16 levels.
+ */
+class WalkPath
+{
+  public:
+    static constexpr std::size_t kCapacity = 17;
+
+    void
+    push_back(sim::Addr block)
+    {
+        if (size_ == kCapacity)
+            sim::fatal("VMA table walk reads more than %zu blocks",
+                       kCapacity);
+        blocks_[size_++] = block;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    sim::Addr operator[](std::size_t i) const { return blocks_[i]; }
+    const sim::Addr *begin() const { return blocks_.data(); }
+    const sim::Addr *end() const { return blocks_.data() + size_; }
+
+  private:
+    std::array<sim::Addr, kCapacity> blocks_{};
+    std::size_t size_ = 0;
+};
+
 /** Result of locating the VTE for a VA. */
 struct TableWalk {
     /** Block addresses the walker reads, in order (structure + VTE). */
-    std::vector<sim::Addr> readAddrs;
+    WalkPath readAddrs;
     /** Address of the VTE block; 0 if the VA has no slot. */
     sim::Addr vteAddr = 0;
     /** The VTE (may be invalid); nullptr if the VA has no slot. */

@@ -244,6 +244,29 @@ TEST_F(BTreeTest, WalkDepthMatchesHeight)
     EXPECT_EQ(walk.readAddrs.size(), table.height() + 1);
 }
 
+TEST_F(BTreeTest, WalkPathHoldsATreeOfAHundredThousandVmas)
+{
+    // Walks record their reads in a fixed inline array. A tree grown
+    // by sequential inserts to 100k VMAs is 7 levels deep, and its
+    // walks must stay well inside the array.
+    std::vector<Addr> bases;
+    for (unsigned sc = 0; bases.size() < 100000; ++sc)
+        for (std::uint64_t i = 0;
+             i < enc.indicesPerClass(sc) && bases.size() < 100000; ++i)
+            bases.push_back(key(sc, i));
+    for (Addr base : bases)
+        ASSERT_TRUE(table.noteInsert(base).ok);
+    EXPECT_TRUE(table.checkInvariants());
+    EXPECT_GE(table.height(), 7u);
+    EXPECT_LT(table.height() + 1, jord::uat::WalkPath::kCapacity);
+    for (Addr base : bases) {
+        TableWalk walk = table.walk(base);
+        ASSERT_NE(walk.vte, nullptr);
+        ASSERT_EQ(walk.readAddrs.size(), table.height() + 1);
+        ASSERT_EQ(walk.readAddrs[walk.readAddrs.size() - 1], walk.vteAddr);
+    }
+}
+
 TEST_F(BTreeTest, RandomChurnKeepsInvariantsProperty)
 {
     Rng rng(55);
