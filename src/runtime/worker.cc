@@ -101,7 +101,6 @@ WorkerServer::WorkerServer(WorkerConfig cfg, FunctionRegistry registry)
         exec.core = core;
         exec.queueLine = kQueueLineBase +
                          execs_.size() * sim::kCacheBlockBytes;
-        exec.dirtyFor.assign(num_orch, true);
         // Home orchestrator (receives this executor's internal requests
         // and completions): round-robin within the socket when
         // per-socket orchestrators are enabled.
@@ -138,6 +137,9 @@ WorkerServer::WorkerServer(WorkerConfig cfg, FunctionRegistry registry)
         if (orchs_[o].execs.empty())
             sim::fatal("orchestrator %u manages no executors", o);
     }
+    outstanding_.assign(execs_.size(), 0);
+    orchWords_ = (num_orch + 63) / 64;
+    dirty_.assign(execs_.size() * orchWords_, ~std::uint64_t{0});
 
     // --- Deploy functions and runtime code ----------------------------
     unsigned boot_core = orchs_[0].core;
@@ -234,12 +236,13 @@ WorkerServer::profSample(std::vector<prof::CoreSample> &cores,
                         o.completions.size();
         cores.push_back(std::move(cs));
     }
-    for (const ExecState &e : execs_) {
+    for (unsigned i = 0; i < execs_.size(); ++i) {
+        const ExecState &e = execs_[i];
         prof::CoreSample cs;
         cs.core = e.core;
         cs.busy = e.busy;
         cs.queueDepth = e.queue.size() + e.resumable.size();
-        cs.outstanding = e.outstanding;
+        cs.outstanding = outstanding_[i];
         cs.domainDepth = privlib_->domainDepth(e.core);
         cs.vlbIOccupancy = uat_->ivlb(e.core).occupancy();
         cs.vlbICapacity = uat_->ivlb(e.core).capacity();
@@ -401,9 +404,10 @@ WorkerServer::orchEnqueue(unsigned orch, Request req)
 }
 
 void
-WorkerServer::markDirty(ExecState &exec)
+WorkerServer::markDirty(unsigned exec)
 {
-    std::fill(exec.dirtyFor.begin(), exec.dirtyFor.end(), true);
+    std::fill_n(dirty_.begin() + exec * orchWords_, orchWords_,
+                ~std::uint64_t{0});
 }
 
 Cycles
@@ -421,18 +425,20 @@ WorkerServer::dispatchScan(OrchState &o, unsigned orch_idx,
     unsigned misses = 0;
     unsigned at = o.rr;
     unsigned best = o.execs[at];
+    const std::uint64_t bit = std::uint64_t{1} << (orch_idx % 64);
+    std::uint64_t *dirty = dirty_.data() + orch_idx / 64;
     for (unsigned i = 0; i < n; ++i) {
         unsigned ei = o.execs[at];
         if (++at == n)
             at = 0;
-        ExecState &e = execs_[ei];
-        if (e.dirtyFor[orch_idx]) {
-            miss_total +=
-                mesh_->roundTrip(o.core, e.core, noc::MsgKind::Data);
+        std::uint64_t &word = dirty[ei * orchWords_];
+        if (word & bit) {
+            miss_total += mesh_->roundTrip(o.core, execs_[ei].core,
+                                           noc::MsgKind::Data);
             ++misses;
-            e.dirtyFor[orch_idx] = false;
+            word &= ~bit;
         }
-        if (e.outstanding < execs_[best].outstanding)
+        if (outstanding_[ei] < outstanding_[best])
             best = ei;
     }
     o.rr = o.rr + 1 == n ? 0 : o.rr + 1;
@@ -539,8 +545,7 @@ WorkerServer::orchDispatchStep(unsigned orch)
             if (instr_)
                 instr_->dispatchScan(o.core, scan);
 
-            if (!internal &&
-                execs_[chosen].outstanding >= cfg_.jbsqBound) {
+            if (!internal && outstanding_[chosen] >= cfg_.jbsqBound) {
                 // JBSQ bound reached: hold external dispatch until an
                 // executor frees up (completions will kick us).
                 return;
@@ -604,8 +609,8 @@ WorkerServer::orchDispatchStep(unsigned orch)
             }
 
             ExecState &e = execs_[chosen];
-            ++e.outstanding;
-            markDirty(e);
+            ++outstanding_[chosen];
+            markDirty(chosen);
             busy += coherence_->write(o.core, e.queueLine).latency;
             busy += kQueueOpCycles;
 
@@ -660,7 +665,7 @@ WorkerServer::execStep(unsigned exec)
     if (!e.queue.empty()) {
         Request req = std::move(e.queue.front());
         e.queue.pop_front();
-        markDirty(e);
+        markDirty(exec);
         e.busy = true;
         noteExecBusy(true);
         startInvocation(exec, std::move(req));
@@ -1331,8 +1336,8 @@ void
 WorkerServer::resumeInvocation(unsigned exec, Invocation &inv)
 {
     ExecState &e = execs_[exec];
-    ++e.outstanding;
-    markDirty(e);
+    ++outstanding_[exec];
+    markDirty(exec);
     e.running = inv.req.id;
     inv.state = InvState::Running;
     Cycles busy = 0;
@@ -1391,8 +1396,8 @@ WorkerServer::scheduleExecCompletion(unsigned exec, RequestId id,
             finishInvocation(*it->second);
         } else {
             // Suspended: free the JBSQ slot.
-            --e.outstanding;
-            markDirty(e);
+            --outstanding_[exec];
+            markDirty(exec);
             orchDispatchStep(execs_[exec].orch);
         }
         execStep(exec);
@@ -1425,8 +1430,8 @@ void
 WorkerServer::finishInvocation(Invocation &inv)
 {
     ExecState &e = execs_[inv.exec];
-    --e.outstanding;
-    markDirty(e);
+    --outstanding_[inv.exec];
+    markDirty(inv.exec);
     if (cfg_.system == SystemKind::NightCore && inv.prologueDone) {
         // The worker slot frees at actual completion time, not when the
         // epilogue's costs were computed. Aborted-before-start
@@ -1705,9 +1710,10 @@ WorkerServer::verifyQuiescent()
             sim::panic("run drained with queued work on orchestrator "
                        "core %u", o.core);
     }
-    for (const ExecState &e : execs_) {
+    for (unsigned i = 0; i < execs_.size(); ++i) {
+        const ExecState &e = execs_[i];
         if (!e.queue.empty() || !e.resumable.empty() || e.busy ||
-            e.outstanding != 0)
+            outstanding_[i] != 0)
             sim::panic("run drained with executor core %u not idle",
                        e.core);
     }
@@ -1729,8 +1735,7 @@ WorkerServer::verifyQuiescent()
 double
 WorkerServer::measureDispatchScanNs()
 {
-    for (auto &e : execs_)
-        markDirty(e);
+    std::fill(dirty_.begin(), dirty_.end(), ~std::uint64_t{0});
     unsigned chosen = 0;
     Cycles lat = dispatchScan(orchs_[0], 0, chosen);
     return sim::cyclesToNs(lat, cfg_.machine.freqGhz);
@@ -1772,10 +1777,10 @@ WorkerServer::run(double mrps, std::uint64_t num_requests,
         e.queue.clear();
         e.resumable.clear();
         e.busy = false;
-        e.outstanding = 0;
         e.running = 0;
-        markDirty(e);
     }
+    std::fill(outstanding_.begin(), outstanding_.end(), 0u);
+    std::fill(dirty_.begin(), dirty_.end(), ~std::uint64_t{0});
 
     arrivals_ =
         sim::PoissonArrivals::fromMrps(mrps, cfg_.machine.freqGhz);

@@ -241,11 +241,6 @@ class WorkerServer : public prof::SampleSource
         std::deque<Request> queue;
         std::deque<RequestId> resumable;
         bool busy = false;
-        /** Queue-length line changed since each orchestrator's last
-         * scan (per-orchestrator coherence view). */
-        std::vector<bool> dirtyFor;
-        /** Outstanding = queued + running (JBSQ counter). */
-        unsigned outstanding = 0;
         sim::Addr queueLine = 0;
         /** Request the executor is currently working on (0 = none);
          * host-only bookkeeping for profiler stack samples. */
@@ -280,6 +275,17 @@ class WorkerServer : public prof::SampleSource
 
     std::vector<OrchState> orchs_;
     std::vector<ExecState> execs_;
+    /**
+     * The JBSQ state a dispatch scan reads, in flat arrays indexed by
+     * executor, so a scan reads an ExecState only to re-read a changed
+     * line. outstanding_ counts each executor's queued plus running
+     * requests. Executor e's dirty_ words start at e * orchWords_; bit
+     * o says orchestrator o has not re-read e's queue-length line since
+     * it last changed.
+     */
+    std::vector<unsigned> outstanding_;
+    std::vector<std::uint64_t> dirty_;
+    unsigned orchWords_ = 1;
     std::unordered_map<RequestId, std::unique_ptr<Invocation>> live_;
 
     // Failure handling.
@@ -332,7 +338,7 @@ class WorkerServer : public prof::SampleSource
     sim::Cycles dispatchScan(OrchState &orch, unsigned orch_idx,
                              unsigned &chosen);
     /** Mark an executor's queue-length line dirty for every orch. */
-    void markDirty(ExecState &exec);
+    void markDirty(unsigned exec);
     /** Next round-robin orchestrator on @p socket. */
     unsigned pickOrch(unsigned socket);
     unsigned m_socketOfCore(unsigned core) const;
