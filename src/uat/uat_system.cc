@@ -10,6 +10,36 @@ namespace jord::uat {
 using sim::Addr;
 using sim::Cycles;
 
+namespace {
+
+/** Check @p acc, an access of @p va needing @p need, against its
+ * translation @p entry, from a core whose privilege bit is
+ * @p privileged; on success fill in the physical address. */
+inline void
+authorize(UatAccess &acc, const VlbEntry &entry, Addr va, Perm need,
+          bool privileged)
+{
+    if (va - entry.base >= entry.bound) {
+        // Inside the size-class chunk but past the VMA's bound.
+        acc.fault = Fault::OutOfBound;
+        return;
+    }
+    if (entry.pbit && !privileged && !need.covers(Perm(Perm::X))) {
+        // Explicit load/store to a privileged VMA from unprivileged code.
+        acc.fault = Fault::PrivilegedAccess;
+        return;
+    }
+    if (!entry.perm.covers(need)) {
+        acc.fault = Fault::NoPermission;
+        return;
+    }
+    acc.pa = static_cast<Addr>(static_cast<std::int64_t>(va) +
+                               entry.offs);
+    acc.pbit = entry.pbit;
+}
+
+} // namespace
+
 UatSystem::UatSystem(const sim::MachineConfig &cfg,
                      mem::CoherenceEngine &coherence, VmaTableBase &table)
     : cfg_(cfg),
@@ -86,44 +116,25 @@ UatSystem::resolve(unsigned core, Addr va, Perm need, Vlb &vlb)
 
     PdId pd = csr.ucid;
     bool is_ivlb = &vlb == ivlbs_[core].get();
-    VlbEntry entry;
-    if (auto hit = vlb.lookup(va, pd)) {
-        entry = *hit;
+    if (const VlbEntry *hit = vlb.lookup(va, pd)) {
         acc.vlbHit = true;
         // VLB probe overlaps the L1 access: no extra latency.
         if (probe_)
-            probe_->onVlbUse(core, is_ivlb, entry.vteAddr, pd);
-    } else {
-        if (probe_)
-            probe_->onVlbMiss(core, is_ivlb);
-        WalkOutcome walk = vtwWalk(core, va, pd, vlb);
-        acc.latency += walk.latency;
-        if (probe_)
-            probe_->onVtwWalk(core, walk.latency, walk.depth, walk.fault);
-        if (walk.fault != Fault::None) {
-            acc.fault = walk.fault;
-            return acc;
-        }
-        entry = walk.entry;
-    }
-
-    if (va - entry.base >= entry.bound) {
-        // Inside the size-class chunk but past the VMA's bound.
-        acc.fault = Fault::OutOfBound;
+            probe_->onVlbUse(core, is_ivlb, hit->vteAddr, pd);
+        authorize(acc, *hit, va, need, pbit_[core]);
         return acc;
     }
-    if (entry.pbit && !pbit_[core] && !need.covers(Perm(Perm::X))) {
-        // Explicit load/store to a privileged VMA from unprivileged code.
-        acc.fault = Fault::PrivilegedAccess;
+    if (probe_)
+        probe_->onVlbMiss(core, is_ivlb);
+    WalkOutcome walk = vtwWalk(core, va, pd, vlb);
+    acc.latency += walk.latency;
+    if (probe_)
+        probe_->onVtwWalk(core, walk.latency, walk.depth, walk.fault);
+    if (walk.fault != Fault::None) {
+        acc.fault = walk.fault;
         return acc;
     }
-    if (!entry.perm.covers(need)) {
-        acc.fault = Fault::NoPermission;
-        return acc;
-    }
-    acc.pa = static_cast<Addr>(static_cast<std::int64_t>(va) +
-                               entry.offs);
-    acc.pbit = entry.pbit;
+    authorize(acc, walk.entry, va, need, pbit_[core]);
     return acc;
 }
 
@@ -246,13 +257,12 @@ UatSystem::translationWrite(unsigned core, Addr addr,
     // miss a live VLB holder.
     mem::CoreMask targets = dir;
     bool pessimistic = false;
-    if (auto tracked = vtd_.sharers(addr)) {
+    if (auto tracked = vtd_.remove(addr)) {
         targets |= *tracked;
     } else {
         vtd_.mutableStats().pessimistic++;
         pessimistic = true;
     }
-    vtd_.remove(addr);
 
     unsigned home = coherence_.mesh().homeSlice(addr, core);
     Cycles full_worst = 0; // total shootdown completion time
@@ -307,7 +317,7 @@ UatSystem::translationWriteLocal(unsigned core, Addr addr)
     vtd_.mutableStats().writes++;
     bool remote_fanout = false;
     std::vector<unsigned> notified;
-    if (auto tracked = vtd_.sharers(addr)) {
+    if (auto tracked = vtd_.remove(addr)) {
         tracked->forEach([&](unsigned sharer) {
             if (static_cast<int>(sharer) == debugSkipShootdownCore_)
                 return;
@@ -318,7 +328,6 @@ UatSystem::translationWriteLocal(unsigned core, Addr addr)
             if (probe_)
                 notified.push_back(sharer);
         });
-        vtd_.remove(addr);
     }
     if (static_cast<int>(core) != debugSkipShootdownCore_) {
         ivlbs_[core]->invalidateVte(addr);

@@ -17,23 +17,21 @@ Vlb::Vlb(unsigned entries)
     entries_.assign(entries, VlbEntry{});
 }
 
-std::optional<VlbEntry>
+const VlbEntry *
 Vlb::lookup(Addr va, PdId pd)
 {
-    for (unsigned i = 0; i < entries_.size(); ++i) {
-        if (!((valid_ >> i) & 1))
-            continue;
-        VlbEntry &entry = entries_[i];
+    for (std::uint64_t live = valid_; live; live &= live - 1) {
+        VlbEntry &entry = entries_[std::countr_zero(live)];
         if (va < entry.base || va - entry.base >= entry.bound)
             continue;
         if (!entry.global && entry.pd != pd)
             continue;
         entry.lastUse = ++useClock_;
         ++stats_.hits;
-        return entry;
+        return &entry;
     }
     ++stats_.misses;
-    return std::nullopt;
+    return nullptr;
 }
 
 unsigned

@@ -9,7 +9,6 @@
 #define JORD_UAT_VLB_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sim/types.hh"
@@ -59,11 +58,15 @@ class Vlb
     explicit Vlb(unsigned entries);
 
     /**
-     * Look up @p va under protection domain @p pd.
+     * Look up @p va under protection domain @p pd, visiting the valid
+     * entries in index order.
      * Hits require the VA to fall in [base, base+bound) and the entry to
      * be global or tagged with @p pd.
+     *
+     * @return The hit entry, valid until the next insert or
+     *     invalidation; null on a miss.
      */
-    std::optional<VlbEntry> lookup(sim::Addr va, PdId pd);
+    const VlbEntry *lookup(sim::Addr va, PdId pd);
 
     /** Install a translation (LRU replacement). */
     void insert(const VlbEntry &entry);

@@ -91,13 +91,16 @@ Vtd::sharers(Addr vte_addr) const
     return entry->sharers;
 }
 
-void
+std::optional<mem::CoreMask>
 Vtd::remove(Addr vte_addr)
 {
-    if (Entry *entry = find(vte_addr)) {
-        entry->valid = false;
-        entry->sharers.reset();
-    }
+    Entry *entry = find(vte_addr);
+    if (!entry)
+        return std::nullopt;
+    std::optional<mem::CoreMask> sharers = entry->sharers;
+    entry->valid = false;
+    entry->sharers.reset();
+    return sharers;
 }
 
 std::optional<Vtd::Evicted>

@@ -71,8 +71,13 @@ class Vtd
     /** Current sharer list, or nullopt if untracked. */
     std::optional<mem::CoreMask> sharers(sim::Addr vte_addr) const;
 
-    /** Drop the entry for @p vte_addr (after a shootdown). */
-    void remove(sim::Addr vte_addr);
+    /**
+     * Drop the entry for @p vte_addr (a shootdown) in one probe of its
+     * set.
+     *
+     * @return The sharers it tracked, or nullopt if it was untracked.
+     */
+    std::optional<mem::CoreMask> remove(sim::Addr vte_addr);
 
     /**
      * Victim-cache install: the coherence directory evicted this block;

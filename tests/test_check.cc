@@ -281,8 +281,8 @@ TEST(VlbRegression, PermissionChangeReplacesInsteadOfDuplicating)
     vlb.insert(e);
 
     EXPECT_EQ(vlb.occupancy(), 1u);
-    auto hit = vlb.lookup(e.base + 16, 3);
-    ASSERT_TRUE(hit.has_value());
+    const VlbEntry *hit = vlb.lookup(e.base + 16, 3);
+    ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->perm, Perm::r());
 }
 
@@ -303,8 +303,8 @@ TEST(VlbRegression, GlobalBitFlipReplacesTheSameVte)
     vlb.insert(e);
 
     EXPECT_EQ(vlb.occupancy(), 1u);
-    auto hit = vlb.lookup(e.base, 7); // any PD: global entry
-    ASSERT_TRUE(hit.has_value());
+    const VlbEntry *hit = vlb.lookup(e.base, 7); // any PD: global entry
+    ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->perm, Perm::r());
 }
 
