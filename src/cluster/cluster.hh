@@ -356,8 +356,8 @@ class ClusterSim
     static constexpr sim::Tick kNoTick = ~static_cast<sim::Tick>(0);
 
     /** One copy of one request as a single word: request table slot
-     * and copy index. Event closures capture it next to `this`, so
-     * they fit std::function's inline buffer and never allocate. */
+     * and copy index. Event closures capture it next to `this`, well
+     * inside sim::EventFn's inline budget. */
     static std::uint64_t
     copyKey(std::uint32_t r, unsigned copy)
     {

@@ -187,7 +187,7 @@ Instruments::invocationEnded(const Invocation &inv, unsigned core,
         return;
     if (metrics_) {
         metrics_->invocations->add();
-        if (inv.req.measured)
+        if (inv.req->measured)
             metrics_->serviceNs->record(ns(now - inv.serviceStart));
     }
     if (pmu_)

@@ -14,6 +14,7 @@
 #define JORD_RUNTIME_REQUEST_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "runtime/types.hh"
@@ -44,10 +45,12 @@ outcomeName(Outcome o)
     return "?";
 }
 
-/** A pending function-invocation request. */
+/**
+ * A pending function-invocation request. Fields are ordered by size so
+ * that a queued request packs into 80 bytes.
+ */
 struct Request {
     RequestId id = 0;
-    FunctionId fn = 0;
     /** Entered the orchestrator (external) / was submitted (internal). */
     sim::Tick arrival = 0;
     /** First arrival across retries (== arrival on attempt 0); the
@@ -55,28 +58,29 @@ struct Request {
     sim::Tick firstArrival = 0;
     /** Absolute deadline tick (0 = no deadline configured). */
     sim::Tick deadline = 0;
-    /** Retry attempt (0 = first try). */
-    unsigned attempt = 0;
     /** Dispatch decision latency charged to this request (Fig. 11). */
     sim::Cycles dispatchCycles = 0;
-    bool internal = false;
-    /** Parent invocation id for internal requests (0 = external). */
-    RequestId parent = 0;
     /** ArgBuf VMA base (0 under NightCore, which uses pipes). */
     sim::Addr argBuf = 0;
     std::uint64_t argBytes = 0;
+    FunctionId fn = 0;
+    /** Retry attempt (0 = first try). */
+    unsigned attempt = 0;
     /** Core that populated the ArgBuf / wrote the pipe. */
     unsigned producerCore = 0;
+    /** Orchestrator that owns this request. */
+    unsigned orch = 0;
+    /** Lifecycle span covering arrival -> response (0 = not traced). */
+    std::uint32_t span = 0;
     /** PD currently holding the ArgBuf permission (root for external,
      * the parent's PD for nested requests); the ArgBuf is returned to
      * this PD when the invocation completes. */
     uat::PdId argOwner = 0;
-    /** Orchestrator that owns this request. */
-    unsigned orch = 0;
+    /** A nested call (jord::call/async) rather than an external
+     * request from the load generator. */
+    bool internal = false;
     /** Counts toward metrics (post-warmup root request). */
     bool measured = false;
-    /** Lifecycle span covering arrival -> response (0 = not traced). */
-    std::uint32_t span = 0;
 };
 
 /** A completed child's response, waiting to be consumed by the parent. */
@@ -101,7 +105,12 @@ enum class InvState {
  * The continuation of one function invocation (§3.4).
  */
 struct Invocation {
-    Request req;
+    /** The request it serves. The request lives in the worker's request
+     * table, whose records never move, and does not change while the
+     * invocation is live. */
+    const Request *req = nullptr;
+    /** The request's slot in that table. */
+    std::uint32_t reqSlot = 0;
     /** Executor (index into the worker's executor array). */
     unsigned exec = 0;
     InvState state = InvState::Running;
@@ -147,6 +156,20 @@ struct Invocation {
     Breakdown bd;
     /** Invoke span covering the service window (0 = not traced). */
     std::uint32_t span = 0;
+
+    /** Reset every field for a new invocation, keeping the vectors'
+     * capacity. */
+    void
+    recycle()
+    {
+        std::vector<sim::Cycles> kept_segments = std::move(segments);
+        std::vector<ChildResult> kept_results = std::move(childResults);
+        *this = Invocation{};
+        segments = std::move(kept_segments);
+        segments.clear();
+        childResults = std::move(kept_results);
+        childResults.clear();
+    }
 };
 
 } // namespace jord::runtime

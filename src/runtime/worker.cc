@@ -225,15 +225,15 @@ WorkerServer::profSample(std::vector<prof::CoreSample> &cores,
 {
     global.livePds = privlib_->numLivePds();
     global.liveArgBufs = static_cast<std::size_t>(liveArgBufs_);
-    global.liveInvocations = live_.size();
+    global.liveInvocations = invocations_.live();
 
     for (const OrchState &o : orchs_) {
         prof::CoreSample cs;
         cs.core = o.core;
         cs.orchestrator = true;
         cs.busy = o.dispatching;
-        cs.queueDepth = o.external.size() + o.internal.size() +
-                        o.completions.size();
+        cs.queueDepth = o.external.size + o.internal.size +
+                        o.completions.size;
         cores.push_back(std::move(cs));
     }
     for (unsigned i = 0; i < execs_.size(); ++i) {
@@ -241,34 +241,27 @@ WorkerServer::profSample(std::vector<prof::CoreSample> &cores,
         prof::CoreSample cs;
         cs.core = e.core;
         cs.busy = e.busy;
-        cs.queueDepth = e.queue.size() + e.resumable.size();
+        cs.queueDepth = e.queue.size + e.resumable.size;
         cs.outstanding = outstanding_[i];
         cs.domainDepth = privlib_->domainDepth(e.core);
         cs.vlbIOccupancy = uat_->ivlb(e.core).occupancy();
         cs.vlbICapacity = uat_->ivlb(e.core).capacity();
         cs.vlbDOccupancy = uat_->dvlb(e.core).occupancy();
         cs.vlbDCapacity = uat_->dvlb(e.core).capacity();
-        if (e.busy && e.running) {
-            auto it = live_.find(e.running);
-            if (it != live_.end()) {
-                const Invocation *inv = it->second.get();
-                cs.pd = inv->pd;
-                cs.fn = registry_.at(inv->req.fn).spec.name;
-                // Fold the nested-ccall chain root-first by walking
-                // parent links up to the external entry function.
-                const Invocation *cur = inv;
-                while (true) {
-                    cs.stack.push_back(
-                        registry_.at(cur->req.fn).spec.name);
-                    if (!cur->req.internal)
-                        break;
-                    auto pit = live_.find(cur->req.parent);
-                    if (pit == live_.end())
-                        break;
-                    cur = pit->second.get();
-                }
-                std::reverse(cs.stack.begin(), cs.stack.end());
+        if (e.busy && e.running != kNoSlot) {
+            const Invocation &inv = invocations_[e.running];
+            cs.pd = inv.pd;
+            cs.fn = registry_.at(inv.req->fn).spec.name;
+            // Fold the nested-ccall chain root-first by walking parent
+            // links up to the external entry function.
+            const Invocation *cur = &inv;
+            while (true) {
+                cs.stack.push_back(registry_.at(cur->req->fn).spec.name);
+                if (!cur->req->internal)
+                    break;
+                cur = &parentOf(requests_[cur->reqSlot]);
             }
+            std::reverse(cs.stack.begin(), cs.stack.end());
         }
         cores.push_back(std::move(cs));
     }
@@ -282,18 +275,13 @@ WorkerServer::charge(Invocation &inv, trace::Category cat,
     if (Cycles *field = breakdownField(inv.bd, cat))
         *field += cycles;
     if (instr_)
-        instr_->span(name, cat, core, start, cycles, inv.req, inv.span);
+        instr_->span(name, cat, core, start, cycles, *inv.req, inv.span);
 }
 
 trace::SpanId
-WorkerServer::parentSpan(const Request &req) const
+WorkerServer::parentSpan(const RequestSlot &slot)
 {
-    if (req.internal) {
-        auto pit = live_.find(req.parent);
-        if (pit != live_.end())
-            return pit->second->span;
-    }
-    return req.span;
+    return slot.req.internal ? parentOf(slot).span : slot.req.span;
 }
 
 void
@@ -307,7 +295,7 @@ void
 WorkerServer::noteLiveInvocations()
 {
     if (instr_)
-        instr_->liveInvocations(live_.size(), events_.curTick());
+        instr_->liveInvocations(invocations_.live(), events_.curTick());
 }
 
 // --- Load generation -------------------------------------------------------
@@ -339,7 +327,9 @@ void
 WorkerServer::onExternalArrival()
 {
     const FunctionSpec &spec = registry_.at(sampleEntry()).spec;
-    Request req;
+    std::uint32_t r = newRequest();
+    RequestSlot &slot = requests_[r];
+    Request &req = slot.req;
     req.id = nextRequestId_++;
     req.fn = spec.id;
     req.argBytes = spec.argBytes;
@@ -355,20 +345,74 @@ WorkerServer::onExternalArrival()
         // Deadline timer: one orchestrator-side timer event per
         // external request, spanning all retry attempts.
         req.deadline = events_.curTick() + timeoutCycles_;
-        RequestId id = req.id;
-        unsigned orch = req.orch;
-        deadlineEvents_[id] = events_.schedule(
-            req.deadline, [this, orch, id] { onDeadline(orch, id); });
+        slot.deadlineEv = events_.schedule(
+            req.deadline, [this, r] { onDeadline(r); });
     }
-    orchEnqueue(req.orch, std::move(req));
+    orchEnqueue(r);
     scheduleNextArrival();
+}
+
+// --- Request slots and queues -------------------------------------------------
+
+std::uint32_t
+WorkerServer::newRequest()
+{
+    std::uint32_t r = requests_.take();
+    requests_[r] = RequestSlot{};
+    return r;
+}
+
+void
+WorkerServer::push(SlotQueue &queue, std::uint32_t r)
+{
+    requests_[r].next = kNoSlot;
+    if (queue.tail == kNoSlot)
+        queue.head = r;
+    else
+        requests_[queue.tail].next = r;
+    queue.tail = r;
+    ++queue.size;
+}
+
+std::uint32_t
+WorkerServer::pop(SlotQueue &queue)
+{
+    std::uint32_t r = queue.head;
+    queue.head = requests_[r].next;
+    if (queue.head == kNoSlot)
+        queue.tail = kNoSlot;
+    --queue.size;
+    return r;
+}
+
+bool
+WorkerServer::unlink(SlotQueue &queue, std::uint32_t r)
+{
+    std::uint32_t prev = kNoSlot;
+    for (std::uint32_t at = queue.head; at != kNoSlot;
+         prev = at, at = requests_[at].next) {
+        if (at != r)
+            continue;
+        std::uint32_t next = requests_[r].next;
+        if (prev == kNoSlot)
+            queue.head = next;
+        else
+            requests_[prev].next = next;
+        if (queue.tail == r)
+            queue.tail = prev;
+        --queue.size;
+        return true;
+    }
+    return false;
 }
 
 // --- Orchestrator -----------------------------------------------------------
 
 void
-WorkerServer::orchEnqueue(unsigned orch, Request req)
+WorkerServer::orchEnqueue(std::uint32_t r)
 {
+    Request &req = requests_[r].req;
+    unsigned orch = req.orch;
     OrchState &o = orchs_[orch];
     req.arrival = events_.curTick();
     if (req.firstArrival == 0)
@@ -378,28 +422,25 @@ WorkerServer::orchEnqueue(unsigned orch, Request req)
             // Expired during retry backoff or in transit: settle it
             // here rather than queueing doomed work.
             Cycles busy = freeArgBuf(o.core, req.argBuf, req.argBytes);
-            recordTerminalFailure(req, Outcome::TimedOut,
+            recordTerminalFailure(r, Outcome::TimedOut,
                                   events_.curTick() + busy);
             return;
         }
-        if (cfg_.shedCap && o.external.size() >= cfg_.shedCap) {
+        if (cfg_.shedCap && o.external.size >= cfg_.shedCap) {
             // Admission control (tentpole): shed from the external
             // queue only — internal requests always enqueue, keeping
             // the §3.3 deadlock-freedom argument intact.
             freeArgBuf(o.core, req.argBuf, req.argBytes);
-            cancelDeadline(req.id);
             if (result_ && req.measured)
                 ++result_->shedRequests;
             if (instr_)
                 instr_->requestSettled(req, Settled::Shed, o.core,
                                        events_.curTick());
+            settle(r);
             return;
         }
     }
-    if (req.internal)
-        o.internal.push_back(std::move(req));
-    else
-        o.external.push_back(std::move(req));
+    push(req.internal ? o.internal : o.external, r);
     orchDispatchStep(orch);
 }
 
@@ -471,58 +512,53 @@ WorkerServer::orchDispatchStep(unsigned orch)
     if (!o.completions.empty()) {
         // Finish a completed external request: read the response out of
         // the ArgBuf and release it.
-        RequestId id = o.completions.front();
-        o.completions.pop_front();
-        auto it = live_.find(id);
-        if (it != live_.end()) {
-            Invocation &inv = *it->second;
-            busy += kCompletionCycles;
-            Outcome outcome = inv.outcome;
-            if (outcome == Outcome::Ok && inv.req.deadline &&
-                events_.curTick() > inv.req.deadline) {
-                // Completed, but after the client gave up.
-                outcome = Outcome::TimedOut;
-            }
-            if (outcome == Outcome::Ok) {
-                if (cfg_.system == SystemKind::NightCore) {
-                    busy += baseline::pipe::recvBusy(inv.req.argBytes);
-                } else {
-                    // The response leaves through the NIC by DMA; the
-                    // orchestrator only releases the ArgBuf.
-                    busy += freeArgBuf(o.core, inv.req.argBuf,
-                                       inv.req.argBytes);
-                }
-                if (inv.req.measured && result_) {
-                    double us = sim::cyclesToUs(
-                        events_.curTick() + busy - inv.req.firstArrival,
-                        cfg_.machine.freqGhz);
-                    result_->latencyUs.record(us);
-                    ++result_->completedRequests;
-                }
-                if (instr_)
-                    instr_->requestSettled(inv.req, Settled::Completed,
-                                           o.core,
-                                           events_.curTick() + busy);
-                cancelDeadline(id);
-                live_.erase(it);
-                noteLiveInvocations();
+        std::uint32_t r = pop(o.completions);
+        RequestSlot &slot = requests_[r];
+        const Request &req = slot.req;
+        busy += kCompletionCycles;
+        Outcome outcome = invocations_[slot.inv].outcome;
+        invocations_.release(slot.inv);
+        slot.inv = kNoSlot;
+        if (outcome == Outcome::Ok && req.deadline &&
+            events_.curTick() > req.deadline) {
+            // Completed, but after the client gave up.
+            outcome = Outcome::TimedOut;
+        }
+        if (outcome == Outcome::Ok) {
+            if (cfg_.system == SystemKind::NightCore) {
+                busy += baseline::pipe::recvBusy(req.argBytes);
             } else {
-                // Failed attempt: retry with backoff or settle.
-                Request req = std::move(inv.req);
-                live_.erase(it);
-                noteLiveInvocations();
-                busy += settleFailedAttempt(std::move(req), outcome,
-                                            busy);
+                // The response leaves through the NIC by DMA; the
+                // orchestrator only releases the ArgBuf.
+                busy += freeArgBuf(o.core, req.argBuf, req.argBytes);
             }
+            if (req.measured && result_) {
+                double us = sim::cyclesToUs(
+                    events_.curTick() + busy - req.firstArrival,
+                    cfg_.machine.freqGhz);
+                result_->latencyUs.record(us);
+                ++result_->completedRequests;
+            }
+            if (instr_)
+                instr_->requestSettled(req, Settled::Completed, o.core,
+                                       events_.curTick() + busy);
+            settle(r);
+            noteLiveInvocations();
+        } else {
+            // Failed attempt: retry with backoff or settle.
+            noteLiveInvocations();
+            busy += settleFailedAttempt(r, outcome, busy);
         }
         progressed = true;
     } else {
         // Dispatch: internal requests strictly before external ones to
         // guarantee forward progress for nested invocations (§3.3).
         bool internal = !o.internal.empty();
-        std::deque<Request> &queue = internal ? o.internal : o.external;
+        SlotQueue &queue = internal ? o.internal : o.external;
         if (!queue.empty()) {
-            Request &req = queue.front();
+            std::uint32_t r = queue.head;
+            RequestSlot &slot = requests_[r];
+            Request &req = slot.req;
             Tick base = events_.curTick();
 
             // External intake: materialise the request's ArgBuf.
@@ -551,17 +587,16 @@ WorkerServer::orchDispatchStep(unsigned orch)
                 return;
             }
 
-            Request out = std::move(queue.front());
-            queue.pop_front();
-            out.dispatchCycles = scan + kQueueOpCycles;
+            pop(queue);
+            req.dispatchCycles = scan + kQueueOpCycles;
 
             if (cfg_.system == SystemKind::NightCore &&
                 injector_.enabled() &&
-                injector_.pipeDrop(out.id, out.attempt, out.fn)) {
+                injector_.pipeDrop(req.id, req.attempt, req.fn)) {
                 // The dispatch pipe write is lost; the orchestrator
                 // detects it on the (modelled) pipe error path and
                 // fails the attempt without ever reaching an executor.
-                Cycles drop = baseline::pipe::sendBusy(out.argBytes) +
+                Cycles drop = baseline::pipe::sendBusy(req.argBytes) +
                               baseline::pipe::recvLatency();
                 busy += drop;
                 if (result_)
@@ -569,23 +604,17 @@ WorkerServer::orchDispatchStep(unsigned orch)
                 if (instr_)
                     instr_->faultInjected("pipe.drop",
                                           trace::Category::Pipe, o.core,
-                                          base + busy - drop, drop, out,
-                                          out.span);
-                if (out.internal) {
+                                          base + busy - drop, drop, req,
+                                          req.span);
+                if (req.internal) {
                     // A lost nested call must still unblock the
                     // waiting parent: deliver a failed result instead
                     // of deadlocking its join.
-                    RequestId parent = out.parent;
-                    events_.scheduleAfter(busy, [this, parent] {
-                        auto pit = live_.find(parent);
-                        if (pit == live_.end())
-                            sim::panic("pipe drop: parent vanished");
-                        onChildComplete(*pit->second,
-                                        ChildResult{0, 0, 0, true});
+                    events_.scheduleAfter(busy, [this, r] {
+                        deliverChildResult(r, ChildResult{0, 0, 0, true});
                     });
                 } else {
-                    busy += settleFailedAttempt(std::move(out),
-                                                Outcome::Crashed, busy);
+                    busy += settleFailedAttempt(r, Outcome::Crashed, busy);
                 }
                 o.dispatching = true;
                 events_.scheduleAfter(std::max<Cycles>(busy, 1), [this, orch] {
@@ -595,17 +624,17 @@ WorkerServer::orchDispatchStep(unsigned orch)
                 return;
             }
 
-            if (result_ && out.measured && !out.internal) {
+            if (result_ && req.measured && !req.internal) {
                 result_->dispatchNs.record(
                     sim::cyclesToNs(scan, cfg_.machine.freqGhz));
             }
             // The span mirrors the bd.dispatch charge the invocation
             // will take in its prologue (scan + queue push).
             if (instr_)
-                instr_->dispatched(out, parentSpan(out), o.core,
+                instr_->dispatched(req, parentSpan(slot), o.core,
                                    base + busy - scan, scan);
             if (cfg_.system == SystemKind::NightCore) {
-                busy += baseline::pipe::sendBusy(out.argBytes);
+                busy += baseline::pipe::sendBusy(req.argBytes);
             }
 
             ExecState &e = execs_[chosen];
@@ -617,11 +646,10 @@ WorkerServer::orchDispatchStep(unsigned orch)
             Cycles visible =
                 busy + mesh_->latency(o.core, e.core,
                                       noc::MsgKind::Control);
-            events_.scheduleAfter(
-                visible, [this, chosen, r = std::move(out)]() mutable {
-                    execs_[chosen].queue.push_back(std::move(r));
-                    execWake(chosen);
-                });
+            events_.scheduleAfter(visible, [this, chosen, r] {
+                push(execs_[chosen].queue, r);
+                execWake(chosen);
+            });
             progressed = true;
         }
     }
@@ -651,24 +679,18 @@ WorkerServer::execStep(unsigned exec)
         return;
 
     if (!e.resumable.empty()) {
-        RequestId id = e.resumable.front();
-        e.resumable.pop_front();
-        auto it = live_.find(id);
-        if (it == live_.end())
-            sim::panic("resumable invocation %llu vanished",
-                       static_cast<unsigned long long>(id));
+        std::uint32_t r = pop(e.resumable);
         e.busy = true;
         noteExecBusy(true);
-        resumeInvocation(exec, *it->second);
+        resumeInvocation(exec, requests_[r].inv);
         return;
     }
     if (!e.queue.empty()) {
-        Request req = std::move(e.queue.front());
-        e.queue.pop_front();
+        std::uint32_t r = pop(e.queue);
         markDirty(exec);
         e.busy = true;
         noteExecBusy(true);
-        startInvocation(exec, std::move(req));
+        startInvocation(exec, r);
         return;
     }
 }
@@ -747,8 +769,8 @@ WorkerServer::freeArgBuf(unsigned core, Addr va, std::uint64_t bytes)
 Cycles
 WorkerServer::invocationPrologue(Invocation &inv, Tick at)
 {
-    const FunctionSpec &spec = registry_.at(inv.req.fn).spec;
-    Addr code_vma = registry_.at(inv.req.fn).codeVma;
+    const FunctionSpec &spec = registry_.at(inv.req->fn).spec;
+    Addr code_vma = registry_.at(inv.req->fn).codeVma;
     unsigned core = coreOfExec(inv.exec);
     Cycles busy = kQueueOpCycles; // dequeue bookkeeping
 
@@ -781,11 +803,11 @@ WorkerServer::invocationPrologue(Invocation &inv, Tick at)
                        uat::faultName(code.fault));
         busy += code.latency;
 
-        if (inv.req.argBuf) {
+        if (inv.req->argBuf) {
             // Transfer the ArgBuf permission from its producer's PD
             // into the fresh PD (Fig. 4's "Transfer ArgBuf Perm").
             privlib::PrivResult ab = privlib_->pmoveBetween(
-                core, inv.req.argBuf, inv.req.argOwner, inv.pd,
+                core, inv.req->argBuf, inv.req->argOwner, inv.pd,
                 uat::Perm::rw());
             if (!ab.ok)
                 sim::panic("ArgBuf pmove failed: %s",
@@ -807,7 +829,7 @@ WorkerServer::invocationPrologue(Invocation &inv, Tick at)
             sim::panic("function fetch fault: %s",
                        uat::faultName(fn_fetch.fault));
         busy += fn_fetch.latency;
-        busy += touchArgBuf(core, inv.req.argBuf, inv.req.argBytes,
+        busy += touchArgBuf(core, inv.req->argBuf, inv.req->argBytes,
                             false);
         charge(inv, trace::Category::Comm, "argbuf.read", core,
                at + comm_start, busy - comm_start);
@@ -828,14 +850,14 @@ WorkerServer::invocationPrologue(Invocation &inv, Tick at)
         Cycles comm_start = busy;
         uat::UatAccess fn_fetch = uat_->fetch(core, code_vma);
         busy += fn_fetch.latency;
-        busy += touchArgBuf(core, inv.req.argBuf, inv.req.argBytes,
+        busy += touchArgBuf(core, inv.req->argBuf, inv.req->argBytes,
                             false);
         charge(inv, trace::Category::Comm, "argbuf.read", core,
                at + comm_start, busy - comm_start);
         break;
       }
       case SystemKind::NightCore: {
-        FunctionId fn = inv.req.fn;
+        FunctionId fn = inv.req->fn;
         ++ntcConcurrency_[fn];
         if (ntcConcurrency_[fn] > ntcProvisioned_[fn]) {
             // Scale out: prepare another worker for this function.
@@ -845,7 +867,7 @@ WorkerServer::invocationPrologue(Invocation &inv, Tick at)
                    at + busy - baseline::kProvisionCycles,
                    baseline::kProvisionCycles);
         }
-        Cycles recv = baseline::pipe::recvBusy(inv.req.argBytes) +
+        Cycles recv = baseline::pipe::recvBusy(inv.req->argBytes) +
                       baseline::pipe::recvLatency();
         busy += recv;
         charge(inv, trace::Category::Pipe, "pipe.recv", core,
@@ -854,7 +876,7 @@ WorkerServer::invocationPrologue(Invocation &inv, Tick at)
       }
     }
 
-    inv.bd.dispatch += inv.req.dispatchCycles;
+    inv.bd.dispatch += inv.req->dispatchCycles;
     return busy;
 }
 
@@ -885,21 +907,25 @@ WorkerServer::issueChild(Invocation &inv, const CallSpec &call,
     unsigned core = coreOfExec(inv.exec);
     Cycles busy = 0;
 
-    Request child;
+    // Taking a slot may grow the request table; its chunks keep
+    // `inv.req` where it is.
+    std::uint32_t r = newRequest();
+    RequestSlot &slot = requests_[r];
+    slot.parentInv = requests_[inv.reqSlot].inv;
+    Request &child = slot.req;
     child.id = nextRequestId_++;
     child.fn = call.target;
     child.argBytes = call.argBytes;
     child.internal = true;
-    child.parent = inv.req.id;
     child.producerCore = core;
     // Spread nested requests round-robin across the socket's
     // orchestrators so a wide fan-out (Media's ReadPage) does not
     // serialize on one dispatch loop.
     child.orch = pickOrch(m_socketOfCore(core));
-    child.measured = inv.req.measured;
+    child.measured = inv.req->measured;
     // Children inherit the root request's deadline: once the client's
     // budget is gone, nested work is abandoned at the next boundary.
-    child.deadline = inv.req.deadline;
+    child.deadline = inv.req->deadline;
 
     switch (cfg_.system) {
       case SystemKind::Jord:
@@ -923,7 +949,7 @@ WorkerServer::issueChild(Invocation &inv, const CallSpec &call,
         child.argOwner = inv.pd;
 
         uat::UatAccess back = uat_->fetch(
-            core, registry_.at(inv.req.fn).codeVma);
+            core, registry_.at(inv.req->fn).codeVma);
         busy += back.latency;
         break;
       }
@@ -950,9 +976,7 @@ WorkerServer::issueChild(Invocation &inv, const CallSpec &call,
     Cycles when = offset + busy +
                   mesh_->latency(core, orchs_[orch].core,
                                  noc::MsgKind::Control);
-    events_.scheduleAfter(when, [this, orch, c = std::move(child)]() mutable {
-        orchEnqueue(orch, std::move(c));
-    });
+    events_.scheduleAfter(when, [this, r] { orchEnqueue(r); });
     return busy;
 }
 
@@ -1022,7 +1046,7 @@ WorkerServer::invocationEpilogue(Invocation &inv, Tick at)
       case SystemKind::JordBT: {
         // Write the response, hand the ArgBuf back to root, revoke the
         // code permission, leave the PD and tear everything down.
-        busy += touchArgBuf(core, inv.req.argBuf, inv.req.argBytes, true);
+        busy += touchArgBuf(core, inv.req->argBuf, inv.req->argBytes, true);
         charge(inv, trace::Category::Comm, "argbuf.respond", core, at,
                busy);
 
@@ -1036,11 +1060,11 @@ WorkerServer::invocationEpilogue(Invocation &inv, Tick at)
         busy += ex.latency;
         iso += ex.latency;
 
-        if (inv.req.argBuf) {
+        if (inv.req->argBuf) {
             // Hand the ArgBuf (now holding the response) back to the
             // PD it came from.
             privlib::PrivResult mv = privlib_->pmoveBetween(
-                core, inv.req.argBuf, inv.pd, inv.req.argOwner,
+                core, inv.req->argBuf, inv.pd, inv.req->argOwner,
                 uat::Perm::rw());
             if (!mv.ok)
                 sim::panic("epilogue ArgBuf pmove failed: %s",
@@ -1049,7 +1073,7 @@ WorkerServer::invocationEpilogue(Invocation &inv, Tick at)
             iso += mv.latency;
         }
         privlib::PrivResult code = privlib_->pmoveBetween(
-            core, registry_.at(inv.req.fn).codeVma, inv.pd,
+            core, registry_.at(inv.req->fn).codeVma, inv.pd,
             privlib::PrivLib::kRootPd, uat::Perm::rx());
         if (!code.ok)
             sim::panic("code revoke failed: %s",
@@ -1059,7 +1083,7 @@ WorkerServer::invocationEpilogue(Invocation &inv, Tick at)
 
         privlib::PrivResult un = privlib_->munmap(
             core, inv.stackHeapVma,
-            registry_.at(inv.req.fn).spec.stackHeapBytes);
+            registry_.at(inv.req->fn).spec.stackHeapBytes);
         if (!un.ok)
             sim::panic("stack/heap munmap failed: %s",
                        uat::faultName(un.fault));
@@ -1076,12 +1100,12 @@ WorkerServer::invocationEpilogue(Invocation &inv, Tick at)
         break;
       }
       case SystemKind::JordNI: {
-        busy += touchArgBuf(core, inv.req.argBuf, inv.req.argBytes, true);
+        busy += touchArgBuf(core, inv.req->argBuf, inv.req->argBytes, true);
         charge(inv, trace::Category::Comm, "argbuf.respond", core, at,
                busy);
         privlib::PrivResult un = privlib_->munmap(
             core, inv.stackHeapVma,
-            registry_.at(inv.req.fn).spec.stackHeapBytes);
+            registry_.at(inv.req->fn).spec.stackHeapBytes);
         if (!un.ok)
             sim::panic("NI stack/heap munmap failed");
         busy += un.latency;
@@ -1090,7 +1114,7 @@ WorkerServer::invocationEpilogue(Invocation &inv, Tick at)
         break;
       }
       case SystemKind::NightCore: {
-        busy += baseline::pipe::sendBusy(inv.req.argBytes);
+        busy += baseline::pipe::sendBusy(inv.req->argBytes);
         charge(inv, trace::Category::Pipe, "pipe.respond", core, at,
                busy);
         break;
@@ -1103,7 +1127,7 @@ WorkerServer::invocationEpilogue(Invocation &inv, Tick at)
 Cycles
 WorkerServer::runUntilBlocked(Invocation &inv, Tick at)
 {
-    const FunctionSpec &spec = registry_.at(inv.req.fn).spec;
+    const FunctionSpec &spec = registry_.at(inv.req->fn).spec;
     unsigned core = coreOfExec(inv.exec);
     Cycles busy = 0;
     unsigned num_calls = static_cast<unsigned>(spec.calls.size());
@@ -1141,9 +1165,9 @@ WorkerServer::runUntilBlocked(Invocation &inv, Tick at)
                 // permission check, not by fiat.
                 uat::UatAccess acc{};
                 acc.fault = uat::Fault::None;
-                if (inv.req.argBuf)
+                if (inv.req->argBuf)
                     acc = uat_->dataAccess(
-                        core, inv.req.argBuf + inv.req.argBytes,
+                        core, inv.req->argBuf + inv.req->argBytes,
                         uat::Perm(uat::Perm::W));
                 if (acc.ok()) {
                     // The rounded-up VMA absorbed the overrun (or
@@ -1171,7 +1195,7 @@ WorkerServer::runUntilBlocked(Invocation &inv, Tick at)
             if (instr_)
                 instr_->faultInjected("fault.inject",
                                       trace::Category::Runtime, core,
-                                      at + busy - part, part, inv.req,
+                                      at + busy - part, part, *inv.req,
                                       inv.span);
             if (inv.pendingChildren > 0) {
                 // Outstanding children still hold permissions rooted
@@ -1241,15 +1265,18 @@ WorkerServer::runUntilBlocked(Invocation &inv, Tick at)
 }
 
 void
-WorkerServer::startInvocation(unsigned exec, Request req)
+WorkerServer::startInvocation(unsigned exec, std::uint32_t r)
 {
-    auto owned = std::make_unique<Invocation>();
-    Invocation &inv = *owned;
-    inv.req = std::move(req);
+    std::uint32_t i = invocations_.take();
+    Invocation &inv = invocations_[i];
+    inv.recycle();
+    RequestSlot &slot = requests_[r];
+    slot.inv = i;
+    inv.req = &slot.req;
+    inv.reqSlot = r;
     inv.exec = exec;
     inv.serviceStart = events_.curTick();
-    live_[inv.req.id] = std::move(owned);
-    execs_[exec].running = inv.req.id;
+    execs_[exec].running = i;
     noteLiveInvocations();
     Cycles busy = 0;
     prof::PmuWindow pmu_window(pmu(), coreOfExec(exec), busy);
@@ -1258,21 +1285,21 @@ WorkerServer::startInvocation(unsigned exec, Request req)
         // the parent's invoke span (nested ccall), building the
         // per-request span tree across the nested call chain.
         inv.span = instr_->invocationBegun(
-            inv.req, registry_.at(inv.req.fn).spec.name, coreOfExec(exec),
-            inv.serviceStart, parentSpan(inv.req));
+            slot.req, registry_.at(slot.req.fn).spec.name,
+            coreOfExec(exec), inv.serviceStart, parentSpan(slot));
     }
 
-    if (inv.req.deadline && events_.curTick() >= inv.req.deadline) {
+    if (inv.req->deadline && events_.curTick() >= inv.req->deadline) {
         // Dead on arrival: the deadline expired while the request sat
         // in the executor queue. Don't waste a PD on it.
         inv.outcome = Outcome::TimedOut;
         inv.state = InvState::Done;
         busy = kQueueOpCycles;
-        scheduleExecCompletion(exec, inv.req.id, busy);
+        scheduleExecCompletion(exec, i, busy);
         return;
     }
 
-    const FunctionSpec &spec = registry_.at(inv.req.fn).spec;
+    const FunctionSpec &spec = registry_.at(inv.req->fn).spec;
     Cycles total = drawExec(spec);
     unsigned segs = static_cast<unsigned>(spec.calls.size()) + 1;
     if (spec.segmentWeights.empty()) {
@@ -1301,9 +1328,9 @@ WorkerServer::startInvocation(unsigned exec, Request req)
     }
 
     if (injector_.enabled()) {
-        fault::Decision d = injector_.decide(inv.req.id,
-                                             inv.req.attempt,
-                                             inv.req.fn, segs);
+        fault::Decision d = injector_.decide(inv.req->id,
+                                             inv.req->attempt,
+                                             inv.req->fn, segs);
         if (d.spikeMult > 1.0) {
             for (Cycles &seg : inv.segments)
                 seg = static_cast<Cycles>(static_cast<double>(seg) *
@@ -1323,34 +1350,35 @@ WorkerServer::startInvocation(unsigned exec, Request req)
 
     Tick base = events_.curTick();
     if (instr_)
-        instr_->coreContext(coreOfExec(exec), inv.req.id, inv.span);
+        instr_->coreContext(coreOfExec(exec), inv.req->id, inv.span);
     busy = invocationPrologue(inv, base);
     inv.prologueDone = true;
     busy += runUntilBlocked(inv, base + busy);
     if (instr_)
         instr_->clearCoreContext(coreOfExec(exec));
-    scheduleExecCompletion(exec, inv.req.id, busy);
+    scheduleExecCompletion(exec, i, busy);
 }
 
 void
-WorkerServer::resumeInvocation(unsigned exec, Invocation &inv)
+WorkerServer::resumeInvocation(unsigned exec, std::uint32_t i)
 {
+    Invocation &inv = invocations_[i];
     ExecState &e = execs_[exec];
     ++outstanding_[exec];
     markDirty(exec);
-    e.running = inv.req.id;
+    e.running = i;
     inv.state = InvState::Running;
     Cycles busy = 0;
     prof::PmuWindow pmu_window(pmu(), coreOfExec(exec), busy);
 
     Tick base = events_.curTick();
     if (instr_)
-        instr_->coreContext(coreOfExec(exec), inv.req.id, inv.span);
+        instr_->coreContext(coreOfExec(exec), inv.req->id, inv.span);
     bool child_failed = false;
     busy = consumeChildResults(inv, base, child_failed);
 
     bool abort = inv.abortPending || inv.timedOut || child_failed ||
-                 (inv.req.deadline && base >= inv.req.deadline);
+                 (inv.req->deadline && base >= inv.req->deadline);
     if (abort) {
         if (inv.outcome == Outcome::Ok)
             inv.outcome = child_failed ? Outcome::ChildFailed
@@ -1379,21 +1407,20 @@ WorkerServer::resumeInvocation(unsigned exec, Invocation &inv)
     }
     if (instr_)
         instr_->clearCoreContext(coreOfExec(exec));
-    scheduleExecCompletion(exec, inv.req.id, busy);
+    scheduleExecCompletion(exec, i, busy);
 }
 
 void
-WorkerServer::scheduleExecCompletion(unsigned exec, RequestId id,
+WorkerServer::scheduleExecCompletion(unsigned exec, std::uint32_t i,
                                      Cycles busy)
 {
-    events_.scheduleAfter(std::max<Cycles>(busy, 1), [this, exec, id] {
+    events_.scheduleAfter(std::max<Cycles>(busy, 1), [this, exec, i] {
         ExecState &e = execs_[exec];
         e.busy = false;
-        e.running = 0;
+        e.running = kNoSlot;
         noteExecBusy(false);
-        auto it = live_.find(id);
-        if (it != live_.end() && it->second->state == InvState::Done) {
-            finishInvocation(*it->second);
+        if (invocations_[i].state == InvState::Done) {
+            finishInvocation(i);
         } else {
             // Suspended: free the JBSQ slot.
             --outstanding_[exec];
@@ -1407,12 +1434,12 @@ WorkerServer::scheduleExecCompletion(unsigned exec, RequestId id,
 Cycles
 WorkerServer::accountInvocation(Invocation &inv)
 {
-    if (!result_ || !inv.req.measured)
+    if (!result_ || !inv.req->measured)
         return 0;
     Cycles service = events_.curTick() - inv.serviceStart;
     double us = sim::cyclesToUs(service, cfg_.machine.freqGhz);
     result_->serviceUs.record(us);
-    FunctionId fn = inv.req.fn;
+    FunctionId fn = inv.req->fn;
     result_->perFunctionServiceUs[fn].record(us);
 
     Breakdown bd = inv.bd;
@@ -1427,8 +1454,9 @@ WorkerServer::accountInvocation(Invocation &inv)
 }
 
 void
-WorkerServer::finishInvocation(Invocation &inv)
+WorkerServer::finishInvocation(std::uint32_t i)
 {
+    Invocation &inv = invocations_[i];
     ExecState &e = execs_[inv.exec];
     --outstanding_[inv.exec];
     markDirty(inv.exec);
@@ -1436,7 +1464,7 @@ WorkerServer::finishInvocation(Invocation &inv)
         // The worker slot frees at actual completion time, not when the
         // epilogue's costs were computed. Aborted-before-start
         // invocations never took a slot.
-        --ntcConcurrency_[inv.req.fn];
+        --ntcConcurrency_[inv.req->fn];
     }
     unsigned core = coreOfExec(inv.exec);
     Cycles queue_wait =
@@ -1444,39 +1472,43 @@ WorkerServer::finishInvocation(Invocation &inv)
     if (instr_)
         instr_->invocationEnded(inv, core, events_.curTick(), queue_wait);
 
-    if (inv.req.internal) {
-        ChildResult result{inv.req.argBuf, inv.req.argBytes, core,
-                           inv.outcome != Outcome::Ok};
-        RequestId parent = inv.req.parent;
-        // Completion notification to the parent's executor.
-        auto pit = live_.find(parent);
-        if (pit == live_.end())
-            sim::panic("orphan child completion");
-        unsigned parent_core = coreOfExec(pit->second->exec);
+    std::uint32_t r = inv.reqSlot;
+    if (inv.req->internal) {
+        // Completion notification to the parent's executor. The child's
+        // invocation ends here; its request carries the result.
+        bool failed = inv.outcome != Outcome::Ok;
+        unsigned parent_core = coreOfExec(parentOf(requests_[r]).exec);
         Cycles notify = mesh_->latency(core, parent_core,
                                        noc::MsgKind::Control) +
                         kQueueOpCycles;
-        live_.erase(inv.req.id);
+        invocations_.release(i);
+        requests_[r].inv = kNoSlot;
         noteLiveInvocations();
-        events_.scheduleAfter(notify, [this, parent, result] {
-            auto it = live_.find(parent);
-            if (it == live_.end())
-                sim::panic("parent vanished before child completion");
-            onChildComplete(*it->second, result);
+        events_.scheduleAfter(notify, [this, r, core, failed] {
+            const Request &req = requests_[r].req;
+            deliverChildResult(
+                r, ChildResult{req.argBuf, req.argBytes, core, failed});
         });
     } else {
-        unsigned orch = inv.req.orch;
+        unsigned orch = inv.req->orch;
         OrchState &o = orchs_[orch];
         Cycles notify = coherence_->write(core, o.completionLine).latency +
                         mesh_->latency(core, o.core,
                                        noc::MsgKind::Control);
-        RequestId id = inv.req.id;
-        events_.scheduleAfter(notify, [this, orch, id] {
-            orchs_[orch].completions.push_back(id);
+        events_.scheduleAfter(notify, [this, orch, r] {
+            push(orchs_[orch].completions, r);
             orchDispatchStep(orch);
         });
     }
     orchDispatchStep(e.orch);
+}
+
+void
+WorkerServer::deliverChildResult(std::uint32_t r, ChildResult result)
+{
+    Invocation &parent = parentOf(requests_[r]);
+    requests_.release(r);
+    onChildComplete(parent, result);
 }
 
 void
@@ -1489,7 +1521,7 @@ WorkerServer::onChildComplete(Invocation &parent, ChildResult result)
     if (parent.state == InvState::Suspended &&
         parent.pendingChildren <= parent.resumeThreshold) {
         parent.state = InvState::Resumable;
-        execs_[parent.exec].resumable.push_back(parent.req.id);
+        push(execs_[parent.exec].resumable, parent.reqSlot);
         execWake(parent.exec);
     }
 }
@@ -1540,11 +1572,11 @@ WorkerServer::abortReclaim(Invocation &inv, Tick at, bool in_pd)
                        uat::faultName(ex.fault));
         busy += ex.latency;
 
-        if (inv.req.argBuf) {
+        if (inv.req->argBuf) {
             // The input ArgBuf goes back to its owner (root for
             // external requests — it is reused verbatim on retry).
             privlib::PrivResult mv = privlib_->pmoveBetween(
-                core, inv.req.argBuf, inv.pd, inv.req.argOwner,
+                core, inv.req->argBuf, inv.pd, inv.req->argOwner,
                 uat::Perm::rw());
             if (!mv.ok)
                 sim::panic("abort ArgBuf pmove failed: %s",
@@ -1552,7 +1584,7 @@ WorkerServer::abortReclaim(Invocation &inv, Tick at, bool in_pd)
             busy += mv.latency;
         }
         privlib::PrivResult code = privlib_->pmoveBetween(
-            core, registry_.at(inv.req.fn).codeVma, inv.pd,
+            core, registry_.at(inv.req->fn).codeVma, inv.pd,
             privlib::PrivLib::kRootPd, uat::Perm::rx());
         if (!code.ok)
             sim::panic("abort code revoke failed: %s",
@@ -1561,7 +1593,7 @@ WorkerServer::abortReclaim(Invocation &inv, Tick at, bool in_pd)
 
         privlib::PrivResult un = privlib_->munmap(
             core, inv.stackHeapVma,
-            registry_.at(inv.req.fn).spec.stackHeapBytes);
+            registry_.at(inv.req->fn).spec.stackHeapBytes);
         if (!un.ok)
             sim::panic("abort stack/heap munmap failed: %s",
                        uat::faultName(un.fault));
@@ -1580,7 +1612,7 @@ WorkerServer::abortReclaim(Invocation &inv, Tick at, bool in_pd)
         inv.childResults.clear();
         privlib::PrivResult un = privlib_->munmap(
             core, inv.stackHeapVma,
-            registry_.at(inv.req.fn).spec.stackHeapBytes);
+            registry_.at(inv.req->fn).spec.stackHeapBytes);
         if (!un.ok)
             sim::panic("abort stack/heap munmap failed (NI)");
         busy += un.latency;
@@ -1592,7 +1624,7 @@ WorkerServer::abortReclaim(Invocation &inv, Tick at, bool in_pd)
         break;
     }
 
-    if (result_ && inv.req.measured)
+    if (result_ && inv.req->measured)
         ++result_->abortedInvocations;
     if (instr_)
         instr_->aborted();
@@ -1602,49 +1634,43 @@ WorkerServer::abortReclaim(Invocation &inv, Tick at, bool in_pd)
 }
 
 void
-WorkerServer::cancelDeadline(RequestId id)
+WorkerServer::settle(std::uint32_t r)
 {
-    auto it = deadlineEvents_.find(id);
-    if (it == deadlineEvents_.end())
-        return;
-    events_.cancel(it->second);
-    deadlineEvents_.erase(it);
+    RequestSlot &slot = requests_[r];
+    if (slot.deadlineEv != 0)
+        events_.cancel(slot.deadlineEv);
+    requests_.release(r);
 }
 
 void
-WorkerServer::onDeadline(unsigned orch, RequestId id)
+WorkerServer::onDeadline(std::uint32_t r)
 {
-    deadlineEvents_.erase(id);
-    auto it = live_.find(id);
-    if (it != live_.end()) {
+    RequestSlot &slot = requests_[r];
+    slot.deadlineEv = 0;
+    if (slot.inv != kNoSlot) {
         // In flight: mark it and let the next scheduling point
         // (segment boundary, resume, completion) abort and reclaim.
-        if (it->second->state != InvState::Done)
-            it->second->timedOut = true;
+        Invocation &inv = invocations_[slot.inv];
+        if (inv.state != InvState::Done)
+            inv.timedOut = true;
         return;
     }
     // Not yet dispatched: if it still sits in the orchestrator's
     // external queue, drop it there. Any other position (executor
     // queue, in transit, retry backoff) is caught lazily by the
     // deadline checks on those paths.
-    OrchState &o = orchs_[orch];
-    for (auto qit = o.external.begin(); qit != o.external.end();
-         ++qit) {
-        if (qit->id != id)
-            continue;
-        Request req = std::move(*qit);
-        o.external.erase(qit);
-        Cycles busy = freeArgBuf(o.core, req.argBuf, req.argBytes);
-        recordTerminalFailure(req, Outcome::TimedOut,
-                              events_.curTick() + busy);
+    OrchState &o = orchs_[slot.req.orch];
+    if (!unlink(o.external, r))
         return;
-    }
+    Cycles busy = freeArgBuf(o.core, slot.req.argBuf, slot.req.argBytes);
+    recordTerminalFailure(r, Outcome::TimedOut, events_.curTick() + busy);
 }
 
 Cycles
-WorkerServer::settleFailedAttempt(Request req, Outcome outcome,
+WorkerServer::settleFailedAttempt(std::uint32_t r, Outcome outcome,
                                   Cycles busy)
 {
+    Request &req = requests_[r].req;
     OrchState &o = orchs_[req.orch];
     bool expired = req.deadline && events_.curTick() >= req.deadline;
     if (outcome != Outcome::TimedOut && !expired &&
@@ -1659,11 +1685,7 @@ WorkerServer::settleFailedAttempt(Request req, Outcome outcome,
         if (instr_)
             instr_->retry(req, o.core, events_.curTick() + busy, delay);
         req.dispatchCycles = 0;
-        unsigned target = req.orch;
-        events_.scheduleAfter(
-            busy + delay, [this, target, r = std::move(req)]() mutable {
-                orchEnqueue(target, std::move(r));
-            });
+        events_.scheduleAfter(busy + delay, [this, r] { orchEnqueue(r); });
         return 0;
     }
 
@@ -1672,16 +1694,15 @@ WorkerServer::settleFailedAttempt(Request req, Outcome outcome,
         // Whatever killed the last attempt, the client saw a timeout.
         outcome = Outcome::TimedOut;
     }
-    recordTerminalFailure(req, outcome,
-                          events_.curTick() + busy + extra);
+    recordTerminalFailure(r, outcome, events_.curTick() + busy + extra);
     return extra;
 }
 
 void
-WorkerServer::recordTerminalFailure(const Request &req, Outcome outcome,
+WorkerServer::recordTerminalFailure(std::uint32_t r, Outcome outcome,
                                     Tick done)
 {
-    cancelDeadline(req.id);
+    const Request &req = requests_[r].req;
     if (result_ && req.measured) {
         double us = sim::cyclesToUs(done - req.firstArrival,
                                     cfg_.machine.freqGhz);
@@ -1699,6 +1720,7 @@ WorkerServer::recordTerminalFailure(const Request &req, Outcome outcome,
                                    ? Settled::TimedOut
                                    : Settled::Failed,
                                orchs_[req.orch].core, done);
+    settle(r);
 }
 
 void
@@ -1717,15 +1739,15 @@ WorkerServer::verifyQuiescent()
             sim::panic("run drained with executor core %u not idle",
                        e.core);
     }
-    if (!live_.empty())
+    if (invocations_.live() != 0)
         sim::panic("run drained with %zu live invocations",
-                   live_.size());
+                   invocations_.live());
+    if (requests_.live() != 0)
+        sim::panic("run drained with %zu unsettled requests",
+                   requests_.live());
     if (liveArgBufs_ != 0)
         sim::panic("ArgBuf leak: %llu VMAs still mapped",
                    static_cast<unsigned long long>(liveArgBufs_));
-    if (!deadlineEvents_.empty())
-        sim::panic("stale deadline timers after drain: %zu",
-                   deadlineEvents_.size());
     // Only the root PD may remain (PrivLib counts it as live).
     if (isJordFamily() && privlib_->numLivePds() != 1)
         sim::panic("PD leak: %u protection domains still live "
@@ -1764,20 +1786,20 @@ WorkerServer::run(double mrps, std::uint64_t num_requests,
         mixTotal_ += weight;
 
     events_.reset();
-    live_.clear();
+    requests_.clear();
+    invocations_.clear();
     liveArgBufs_ = 0;
-    deadlineEvents_.clear();
     for (auto &o : orchs_) {
-        o.external.clear();
-        o.internal.clear();
-        o.completions.clear();
+        o.external = SlotQueue{};
+        o.internal = SlotQueue{};
+        o.completions = SlotQueue{};
         o.dispatching = false;
     }
     for (auto &e : execs_) {
-        e.queue.clear();
-        e.resumable.clear();
+        e.queue = SlotQueue{};
+        e.resumable = SlotQueue{};
         e.busy = false;
-        e.running = 0;
+        e.running = kNoSlot;
     }
     std::fill(outstanding_.begin(), outstanding_.end(), 0u);
     std::fill(dirty_.begin(), dirty_.end(), ~std::uint64_t{0});

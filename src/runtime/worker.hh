@@ -13,9 +13,8 @@
 #ifndef JORD_RUNTIME_WORKER_HH
 #define JORD_RUNTIME_WORKER_HH
 
-#include <deque>
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "baseline/nightcore.hh"
@@ -30,6 +29,7 @@
 #include "runtime/instruments.hh"
 #include "runtime/registry.hh"
 #include "runtime/request.hh"
+#include "runtime/slot_table.hh"
 #include "sim/arrivals.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -235,24 +235,59 @@ class WorkerServer : public prof::SampleSource
                     prof::GlobalSample &global) override;
 
   private:
+    /** No slot: an empty queue end, or no invocation. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    /**
+     * A request from its creation until it settles, in requests_. An
+     * external request keeps its slot across every attempt, so its
+     * deadline timer lives here; an internal one keeps it until its
+     * result reaches the parent. Queues and event closures carry the
+     * slot. The request id stays the simulated identity.
+     */
+    struct RequestSlot {
+        Request req;
+        /** Next slot in the queue holding this request. */
+        std::uint32_t next = kNoSlot;
+        /** Invocation serving the current attempt, while it is live. */
+        std::uint32_t inv = kNoSlot;
+        /** The parent's invocation slot (internal requests); a parent
+         * outlives its outstanding children. */
+        std::uint32_t parentInv = kNoSlot;
+        /** Pending deadline timer (0 = none). */
+        std::uint64_t deadlineEv = 0;
+    };
+
+    /** A FIFO of request slots linked through RequestSlot::next. A
+     * request sits in at most one queue at a time. */
+    struct SlotQueue {
+        std::uint32_t head = kNoSlot;
+        std::uint32_t tail = kNoSlot;
+        std::uint32_t size = 0;
+
+        bool empty() const { return size == 0; }
+    };
+
     struct ExecState {
         unsigned core = 0;
         unsigned orch = 0;
-        std::deque<Request> queue;
-        std::deque<RequestId> resumable;
+        /** Dispatched requests not yet started. */
+        SlotQueue queue;
+        /** Requests whose suspended invocation may continue. */
+        SlotQueue resumable;
         bool busy = false;
         sim::Addr queueLine = 0;
-        /** Request the executor is currently working on (0 = none);
+        /** Invocation the executor is working on (kNoSlot = none);
          * host-only bookkeeping for profiler stack samples. */
-        RequestId running = 0;
+        std::uint32_t running = kNoSlot;
     };
 
     struct OrchState {
         unsigned core = 0;
-        std::deque<Request> external;
-        std::deque<Request> internal;
+        SlotQueue external;
+        SlotQueue internal;
         /** Completed external requests awaiting response processing. */
-        std::deque<RequestId> completions;
+        SlotQueue completions;
         std::vector<unsigned> execs; ///< executor indices it manages
         bool dispatching = false;
         unsigned rr = 0; ///< tie-break rotation
@@ -286,15 +321,17 @@ class WorkerServer : public prof::SampleSource
     std::vector<unsigned> outstanding_;
     std::vector<std::uint64_t> dirty_;
     unsigned orchWords_ = 1;
-    std::unordered_map<RequestId, std::unique_ptr<Invocation>> live_;
+
+    /** Requests and started invocations by slot. Chunks stay well
+     * under glibc's 128 KiB mmap threshold. */
+    SlotTable<RequestSlot, 256> requests_;
+    SlotTable<Invocation, 128> invocations_;
 
     // Failure handling.
     fault::FaultInjector injector_;
     sim::Cycles timeoutCycles_ = 0;
     /** Runtime-mapped ArgBuf VMAs not yet munmapped (leak invariant). */
     std::uint64_t liveArgBufs_ = 0;
-    /** Pending deadline-timer events by external request id. */
-    std::unordered_map<RequestId, std::uint64_t> deadlineEvents_;
 
     RequestId nextRequestId_ = 1;
     std::uint64_t externalLeft_ = 0;
@@ -332,8 +369,22 @@ class WorkerServer : public prof::SampleSource
     void onExternalArrival();
     FunctionId sampleEntry();
 
+    // --- Request slots and queues ---
+    /** Take a request slot holding a default request. */
+    std::uint32_t newRequest();
+    void push(SlotQueue &queue, std::uint32_t r);
+    std::uint32_t pop(SlotQueue &queue);
+    /** Unlink @p r from @p queue; false if it is not there. */
+    bool unlink(SlotQueue &queue, std::uint32_t r);
+    /** The invocation of @p slot's parent (internal requests). */
+    Invocation &parentOf(const RequestSlot &slot)
+    {
+        return invocations_[slot.parentInv];
+    }
+
     // --- Orchestrator ---
-    void orchEnqueue(unsigned orch, Request req);
+    /** Admit request @p r to the queue of its orchestrator. */
+    void orchEnqueue(std::uint32_t r);
     void orchDispatchStep(unsigned orch);
     sim::Cycles dispatchScan(OrchState &orch, unsigned orch_idx,
                              unsigned &chosen);
@@ -346,8 +397,8 @@ class WorkerServer : public prof::SampleSource
     // --- Executor ---
     void execWake(unsigned exec);
     void execStep(unsigned exec);
-    void startInvocation(unsigned exec, Request req);
-    void resumeInvocation(unsigned exec, Invocation &inv);
+    void startInvocation(unsigned exec, std::uint32_t r);
+    void resumeInvocation(unsigned exec, std::uint32_t i);
     /**
      * Run the invocation from its current point until it suspends or
      * finishes; returns busy cycles consumed. Child submissions are
@@ -363,10 +414,13 @@ class WorkerServer : public prof::SampleSource
     /** @p child_failed is set when any consumed result is a failure. */
     sim::Cycles consumeChildResults(Invocation &inv, sim::Tick at,
                                     bool &child_failed);
-    void finishInvocation(Invocation &inv);
+    void finishInvocation(std::uint32_t i);
+    /** Hand internal request @p r's result to its parent and release
+     * the request. */
+    void deliverChildResult(std::uint32_t r, ChildResult result);
     void onChildComplete(Invocation &parent, ChildResult result);
     /** Shared completion callback of start/resumeInvocation. */
-    void scheduleExecCompletion(unsigned exec, RequestId id,
+    void scheduleExecCompletion(unsigned exec, std::uint32_t i,
                                 sim::Cycles busy);
 
     // --- Failure handling ---
@@ -379,22 +433,24 @@ class WorkerServer : public prof::SampleSource
      * root (abort at resume). Returns busy cycles.
      */
     sim::Cycles abortReclaim(Invocation &inv, sim::Tick at, bool in_pd);
-    /** Deadline timer for external request @p id fired. */
-    void onDeadline(unsigned orch, RequestId id);
-    void cancelDeadline(RequestId id);
+    /** Deadline timer for external request @p r fired. */
+    void onDeadline(std::uint32_t r);
+    /** Cancel request @p r's deadline timer and release its slot. */
+    void settle(std::uint32_t r);
     /**
      * An external request's attempt ended in failure: retry it (with
      * backoff) if budget remains, otherwise record the terminal outcome
-     * and release its resources. The invocation must already be removed
-     * from live_ by the caller if it was there. @p busy is the caller's
+     * and release its resources. The caller must already have released
+     * the attempt's invocation, if it had one. @p busy is the caller's
      * accumulated busy offset (retries are scheduled after it); the
      * return value is additional busy cycles spent here (ArgBuf release
      * on a terminal failure).
      */
-    sim::Cycles settleFailedAttempt(Request req, Outcome outcome,
+    sim::Cycles settleFailedAttempt(std::uint32_t r, Outcome outcome,
                                     sim::Cycles busy);
-    /** Terminal failure accounting (measured window + observers). */
-    void recordTerminalFailure(const Request &req, Outcome outcome,
+    /** Terminal failure accounting (measured window + observers); then
+     * settle the request. */
+    void recordTerminalFailure(std::uint32_t r, Outcome outcome,
                                sim::Tick done);
     /** Post-run invariant: no live PDs, ArgBufs, queue entries. */
     void verifyQuiescent();
@@ -426,9 +482,9 @@ class WorkerServer : public prof::SampleSource
      */
     void charge(Invocation &inv, trace::Category cat, const char *name,
                 unsigned core, sim::Tick start, sim::Cycles cycles);
-    /** Span parent of work for @p req: its request span, or the parent
-     * invocation's span for a nested request. */
-    trace::SpanId parentSpan(const Request &req) const;
+    /** Span parent of work for @p slot's request: its request span,
+     * or the parent invocation's span for a nested request. */
+    trace::SpanId parentSpan(const RequestSlot &slot);
     void noteExecBusy(bool busy);
     void noteLiveInvocations();
 };

@@ -22,7 +22,7 @@ struct Later {
 } // namespace
 
 std::uint64_t
-EventQueue::push(Tick when, EventFn fn, bool daemon)
+EventQueue::push(Tick when, EventFn &fn, bool daemon)
 {
     if (when < curTick_)
         panic("scheduling event in the past (when=%llu now=%llu)",
@@ -36,7 +36,7 @@ EventQueue::push(Tick when, EventFn fn, bool daemon)
         nodes_.emplace_back();
     }
     Node &node = nodes_[n];
-    node.fn.swap(fn);
+    node.fn = std::move(fn);
     node.cancelled = false;
     node.daemon = daemon;
     std::uint64_t handle = (std::uint64_t{++node.gen} << 32) | n;
@@ -54,13 +54,13 @@ EventQueue::push(Tick when, EventFn fn, bool daemon)
 std::uint64_t
 EventQueue::schedule(Tick when, EventFn fn)
 {
-    return push(when, std::move(fn), false);
+    return push(when, fn, false);
 }
 
 std::uint64_t
 EventQueue::scheduleDaemon(Tick when, EventFn fn)
 {
-    return push(when, std::move(fn), true);
+    return push(when, fn, true);
 }
 
 void
@@ -134,7 +134,7 @@ void
 EventQueue::release(std::uint32_t n)
 {
     Node &node = nodes_[n];
-    node.fn = nullptr;
+    node.fn.reset();
     // A node whose generation wraps is retired rather than reused, so
     // no handle is issued twice.
     if (++node.gen != 0) {
@@ -200,11 +200,10 @@ EventQueue::dispatchNext(Tick limit)
         if (!node.daemon)
             lastWorkTick_ = when;
         ++numDispatched_;
-        // Swap rather than move: the node is then empty by contract, and
-        // the callback dies with `fn` once it returns. The node is free
-        // before the call, so events the callback schedules can reuse it.
-        EventFn fn;
-        fn.swap(node.fn);
+        // Moving leaves the node empty, and the callback dies with `fn`
+        // once it returns. The node is free before the call, so events
+        // the callback schedules can reuse it.
+        EventFn fn = std::move(node.fn);
         release(n);
         fn();
         return true;

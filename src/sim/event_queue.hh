@@ -27,7 +27,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <cstring>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -35,8 +38,124 @@
 
 namespace jord::sim {
 
-/** Callback type invoked when an event fires. */
-using EventFn = std::function<void()>;
+/**
+ * Callback invoked when an event fires: a move-only callable stored
+ * inline, so scheduling an event never allocates.
+ *
+ * A callable's captures must fit kCapacity bytes, which construction
+ * checks at compile time. That is `this` plus two words: event
+ * closures carry an owner and slot numbers into the owner's tables,
+ * never the records themselves. Callables that are trivially copyable
+ * move as plain bytes and need no destructor call.
+ */
+class EventFn
+{
+  public:
+    /** Inline capture budget in bytes. */
+    static constexpr std::size_t kCapacity = 24;
+
+    EventFn() noexcept = default;
+
+    template <typename F,
+              typename Fn = std::decay_t<F>,
+              typename = std::enable_if_t<!std::is_same_v<Fn, EventFn> &&
+                                          std::is_invocable_r_v<void, Fn &>>>
+    EventFn(F &&f) // implicit, so a lambda converts at schedule()
+    {
+        static_assert(sizeof(Fn) <= kCapacity,
+                      "event callback captures exceed EventFn's inline "
+                      "budget: capture slot numbers, not records");
+        static_assert(alignof(Fn) <= alignof(std::uint64_t),
+                      "event callback is over-aligned");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "event callback must move without throwing");
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+        ops_ = &kOps<Fn>;
+    }
+
+    EventFn(EventFn &&other) noexcept { take(other); }
+
+    EventFn &
+    operator=(EventFn &&other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            take(other);
+        }
+        return *this;
+    }
+
+    EventFn(const EventFn &) = delete;
+    EventFn &operator=(const EventFn &) = delete;
+
+    ~EventFn() { reset(); }
+
+    explicit operator bool() const { return ops_ != nullptr; }
+
+    /** Call the callable; it must be set. */
+    void operator()() { ops_->call(buf_); }
+
+    /** Destroy the callable, leaving the EventFn empty. */
+    void
+    reset() noexcept
+    {
+        if (ops_ && ops_->destroy)
+            ops_->destroy(buf_);
+        ops_ = nullptr;
+    }
+
+  private:
+    /** Per-type operations. Null relocate and destroy mean the type is
+     * trivially copyable: its bytes move with memcpy and need no
+     * destructor. */
+    struct Ops {
+        void (*call)(void *self);
+        /** Move-construct at @p to from @p from, then destroy @p from. */
+        void (*relocate)(void *to, void *from);
+        void (*destroy)(void *self);
+    };
+
+    template <typename Fn>
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<Fn>;
+
+    template <typename Fn>
+    static Fn *
+    as(void *buf)
+    {
+        return std::launder(static_cast<Fn *>(buf));
+    }
+
+    template <typename Fn>
+    static constexpr Ops kOps = {
+        [](void *self) { (*as<Fn>(self))(); },
+        kTrivial<Fn> ? nullptr
+                     : +[](void *to, void *from) {
+                           Fn *src = as<Fn>(from);
+                           ::new (to) Fn(std::move(*src));
+                           src->~Fn();
+                       },
+        kTrivial<Fn> ? nullptr : +[](void *self) { as<Fn>(self)->~Fn(); },
+    };
+
+    /** Move @p other's callable here; this EventFn must be empty. */
+    void
+    take(EventFn &other) noexcept
+    {
+        ops_ = other.ops_;
+        if (!ops_)
+            return;
+        if (ops_->relocate)
+            ops_->relocate(buf_, other.buf_);
+        else
+            std::memcpy(buf_, other.buf_, kCapacity);
+        other.ops_ = nullptr;
+    }
+
+    alignas(std::uint64_t) unsigned char buf_[kCapacity];
+    const Ops *ops_ = nullptr;
+};
+
+static_assert(sizeof(EventFn) == 32, "an event node must stay 48 bytes");
 
 /**
  * A time-ordered queue of callbacks with deterministic tie-breaking.
@@ -167,7 +286,8 @@ class EventQueue
         std::uint32_t node;
     };
 
-    std::uint64_t push(Tick when, EventFn fn, bool daemon);
+    /** Move @p fn into a free node and queue it at @p when. */
+    std::uint64_t push(Tick when, EventFn &fn, bool daemon);
     /** Pop and dispatch the next live event if it is due by @p limit. */
     bool dispatchNext(Tick limit);
     /** Make @p when the cursor and pull far events inside the horizon. */

@@ -64,15 +64,24 @@ TEST(EventQueue, ScheduleAfterUsesCurrentTime)
 
 TEST(EventQueue, EventsCanScheduleMoreEvents)
 {
-    EventQueue q;
-    int count = 0;
-    std::function<void()> chain = [&] {
-        if (++count < 100)
-            q.scheduleAfter(1, chain);
+    // Each link schedules the next one; the callback captures only a
+    // pointer to the chain's state.
+    struct Chain {
+        EventQueue &q;
+        int count = 0;
+
+        void
+        link()
+        {
+            if (++count < 100)
+                q.scheduleAfter(1, [this] { link(); });
+        }
     };
-    q.schedule(0, chain);
+    EventQueue q;
+    Chain chain{q};
+    q.schedule(0, [&chain] { chain.link(); });
     q.run();
-    EXPECT_EQ(count, 100);
+    EXPECT_EQ(chain.count, 100);
     EXPECT_EQ(q.curTick(), 99u);
 }
 
@@ -284,13 +293,131 @@ TEST(EventQueue, StaleHandleCannotCancelItsSlotsNextEvent)
     EXPECT_EQ(q.numDispatched(), 1u);
 }
 
+/**
+ * A callable that counts how often a live (not moved-from) copy of it
+ * is destroyed. Moving transfers liveness, so relocations inside the
+ * queue count nothing and a leak or a double destroy shows.
+ */
+struct CountedCall {
+    int *destroyed;
+    int *called;
+    bool live = true;
+
+    CountedCall(int *d, int *c) : destroyed(d), called(c) {}
+    CountedCall(CountedCall &&other) noexcept
+        : destroyed(other.destroyed), called(other.called),
+          live(other.live)
+    {
+        other.live = false;
+    }
+    CountedCall(const CountedCall &) = delete;
+    CountedCall &operator=(const CountedCall &) = delete;
+    CountedCall &operator=(CountedCall &&) = delete;
+    ~CountedCall()
+    {
+        if (live)
+            ++*destroyed;
+    }
+
+    void operator()() { ++*called; }
+};
+
+static_assert(sizeof(CountedCall) <= jord::sim::EventFn::kCapacity);
+
+TEST(EventFn, FiredCaptureIsDestroyedExactlyOnce)
+{
+    EventQueue q;
+    int destroyed = 0;
+    int called = 0;
+    q.schedule(10, CountedCall(&destroyed, &called));
+    // Force node-table growth while the capture is pending.
+    for (int i = 0; i < 64; ++i)
+        q.schedule(static_cast<Tick>(20 + i), [] {});
+    EXPECT_EQ(destroyed, 0);
+    EXPECT_TRUE(q.step());
+    EXPECT_EQ(called, 1);
+    EXPECT_EQ(destroyed, 1);
+    q.run();
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EventFn, CancelledCaptureIsDestroyedOnceWhenItPops)
+{
+    EventQueue q;
+    int destroyed = 0;
+    int called = 0;
+    auto handle = q.schedule(10, CountedCall(&destroyed, &called));
+    q.schedule(20, [] {});
+    EXPECT_TRUE(q.cancel(handle));
+    EXPECT_EQ(destroyed, 0);
+    EXPECT_TRUE(q.step()); // drops the cancelled node, fires tick 20
+    EXPECT_EQ(destroyed, 1);
+    q.run();
+    EXPECT_EQ(called, 0);
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EventFn, CaptureDroppedByResetIsDestroyedOnce)
+{
+    EventQueue q;
+    int destroyed = 0;
+    int called = 0;
+    q.schedule(10, CountedCall(&destroyed, &called));
+    q.schedule(std::uint64_t{1} << 40, CountedCall(&destroyed, &called));
+    q.reset();
+    EXPECT_EQ(destroyed, 2);
+    q.schedule(5, [] {});
+    q.run();
+    EXPECT_EQ(called, 0);
+    EXPECT_EQ(destroyed, 2);
+}
+
+TEST(EventFn, MoveOnlyCaptureRunsAndIsFreed)
+{
+    EventQueue q;
+    int freed = 0;
+    auto deleter = [&freed](int *p) {
+        ++freed;
+        delete p;
+    };
+    std::unique_ptr<int, decltype(deleter)> owned(new int(7), deleter);
+    int seen = 0;
+    q.schedule(10, [&seen, p = std::move(owned)] { seen = *p; });
+    EXPECT_EQ(freed, 0);
+    q.run();
+    EXPECT_EQ(seen, 7);
+    EXPECT_EQ(freed, 1);
+}
+
+TEST(EventFn, MovesLeaveTheSourceEmpty)
+{
+    int destroyed = 0;
+    int called = 0;
+    jord::sim::EventFn a = CountedCall(&destroyed, &called);
+    jord::sim::EventFn b = std::move(a);
+    EXPECT_FALSE(a);
+    ASSERT_TRUE(b);
+    b();
+    a = std::move(b);
+    EXPECT_FALSE(b);
+    a();
+    EXPECT_EQ(called, 2);
+    EXPECT_EQ(destroyed, 0);
+    a.reset();
+    EXPECT_FALSE(a);
+    EXPECT_EQ(destroyed, 1);
+}
+
 TEST(EventQueue, CalendarStorageMatchesReferenceOrder)
 {
     // Deterministic pseudo-random schedule with wide tick spans (on
     // the ring and beyond its horizon) and dense same-tick ties: the
     // storage must reproduce exact (when, insertion) dispatch order.
     EventQueue q;
-    std::vector<std::pair<Tick, int>> fired;
+    struct Log {
+        EventQueue &q;
+        std::vector<std::pair<Tick, int>> fired;
+    } log{q, {}};
     std::uint64_t lcg = 12345;
     auto next = [&lcg](std::uint64_t mod) {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
@@ -305,9 +432,9 @@ TEST(EventQueue, CalendarStorageMatchesReferenceOrder)
                                    : 42;
         int tag = id++;
         expected.emplace_back(when, tag);
-        q.schedule(when, [&fired, &q, when, tag] {
-            fired.emplace_back(when, tag);
-            EXPECT_EQ(q.curTick(), when);
+        q.schedule(when, [&log, when, tag] {
+            log.fired.emplace_back(when, tag);
+            EXPECT_EQ(log.q.curTick(), when);
         });
     }
     std::stable_sort(expected.begin(), expected.end(),
@@ -315,7 +442,7 @@ TEST(EventQueue, CalendarStorageMatchesReferenceOrder)
                          return a.first < b.first;
                      });
     q.run();
-    EXPECT_EQ(fired, expected);
+    EXPECT_EQ(log.fired, expected);
 }
 
 TEST(EventQueue, ScheduleBehindARolledOverCalendarYear)
