@@ -66,8 +66,6 @@ struct Request {
     FunctionId fn = 0;
     /** Retry attempt (0 = first try). */
     unsigned attempt = 0;
-    /** Core that populated the ArgBuf / wrote the pipe. */
-    unsigned producerCore = 0;
     /** Orchestrator that owns this request. */
     unsigned orch = 0;
     /** Lifecycle span covering arrival -> response (0 = not traced). */
@@ -87,7 +85,6 @@ struct Request {
 struct ChildResult {
     sim::Addr argBuf = 0;
     std::uint64_t argBytes = 0;
-    unsigned producerCore = 0;
     /** The child did not produce a response (it crashed, faulted or
      * timed out); the ArgBuf (if any) carries no valid data. */
     bool failed = false;

@@ -566,7 +566,6 @@ WorkerServer::orchDispatchStep(unsigned orch)
                 cfg_.system != SystemKind::NightCore) {
                 Cycles intake_start = busy;
                 req.argBuf = mapArgBuf(o.core, req.argBytes, req.id, busy);
-                req.producerCore = o.core;
                 busy += touchArgBuf(o.core, req.argBuf, req.argBytes,
                                     true);
                 if (instr_)
@@ -611,7 +610,7 @@ WorkerServer::orchDispatchStep(unsigned orch)
                     // waiting parent: deliver a failed result instead
                     // of deadlocking its join.
                     events_.scheduleAfter(busy, [this, r] {
-                        deliverChildResult(r, ChildResult{0, 0, 0, true});
+                        deliverChildResult(r, ChildResult{0, 0, true});
                     });
                 } else {
                     busy += settleFailedAttempt(r, Outcome::Crashed, busy);
@@ -917,7 +916,6 @@ WorkerServer::issueChild(Invocation &inv, const CallSpec &call,
     child.fn = call.target;
     child.argBytes = call.argBytes;
     child.internal = true;
-    child.producerCore = core;
     // Spread nested requests round-robin across the socket's
     // orchestrators so a wide fan-out (Media's ReadPage) does not
     // serialize on one dispatch loop.
@@ -1484,10 +1482,10 @@ WorkerServer::finishInvocation(std::uint32_t i)
         invocations_.release(i);
         requests_[r].inv = kNoSlot;
         noteLiveInvocations();
-        events_.scheduleAfter(notify, [this, r, core, failed] {
+        events_.scheduleAfter(notify, [this, r, failed] {
             const Request &req = requests_[r].req;
             deliverChildResult(
-                r, ChildResult{req.argBuf, req.argBytes, core, failed});
+                r, ChildResult{req.argBuf, req.argBytes, failed});
         });
     } else {
         unsigned orch = inv.req->orch;
