@@ -6,8 +6,8 @@
  * offered load and at the throughput knee.
  *
  * Host-parallel: --jobs N runs the fourteen knob settings (and the
- * load points inside each sweep) concurrently; each job owns its
- * workers and commits to a per-setting slot, so the tables are
+ * load points inside each sweep) concurrently as one fan-out; each job
+ * owns its workers and returns its row, so the tables are
  * byte-identical to --jobs 1.
  */
 
@@ -43,21 +43,13 @@ tputUnderSlo(const workloads::Workload &w, const WorkerConfig &wc,
         .throughputUnderSlo;
 }
 
-/** Per-setting results, one struct per ablation section. */
-struct OrchRow {
-    std::uint64_t executors = 0;
+/** One knob setting's results; each section fills what it prints. */
+struct Row {
     double tput = 0;
-    double meanUs = 0;
-};
-
-struct JbsqRow {
-    double tput = 0;
-    double p99Us = 0;
-};
-
-struct MlpRow {
-    double scanNs = 0;
-    double tput = 0;
+    std::uint64_t executors = 0; // orchestrator count
+    double meanUs = 0;           // orchestrator count
+    double p99Us = 0;            // JBSQ bound
+    double scanNs = 0;           // dispatch-scan MLP
 };
 
 } // namespace
@@ -81,46 +73,41 @@ main(int argc, char **argv)
     const unsigned bounds[] = {1, 2, 3, 6, 12};
     const unsigned mlps[] = {1, 2, 4, 8, 16};
 
-    // Compute phase: every knob setting is an independent job (each
-    // nests its sweep's load points on the same pool).
-    bench::Slots<OrchRow> orch_rows(std::size(orchs));
-    bench::Slots<JbsqRow> jbsq_rows(std::size(bounds));
-    bench::Slots<MlpRow> mlp_rows(std::size(mlps));
-    par::TaskGroup group(pool.get());
-    for (std::size_t i = 0; i < std::size(orchs); ++i)
-        group.run([&, i] {
+    // Compute phase: every knob setting is an independent job in one
+    // fan-out (each nests its sweep's load points on the same pool).
+    // Jobs [0, kJbsq) vary the orchestrators, [kJbsq, kMlp) the JBSQ
+    // bound and [kMlp, kSettings) the scan MLP.
+    const std::size_t kJbsq = std::size(orchs);
+    const std::size_t kMlp = kJbsq + std::size(bounds);
+    const std::size_t kSettings = kMlp + std::size(mlps);
+    std::vector<Row> rows = par::orderedMap<Row>(
+        pool.get(), kSettings, [&](std::size_t i) {
             WorkerConfig wc;
-            wc.numOrchestrators = orchs[i];
-            OrchRow row;
-            row.tput = tputUnderSlo(w, wc, slo_us, requests, pool.get());
-            WorkerServer worker(wc, w.registry);
-            RunResult res = worker.run(4.0, requests, w.mix);
-            row.executors = worker.numExecutors();
-            row.meanUs = res.latencyUs.mean();
-            orch_rows.set(i, row);
+            Row row;
+            if (i < kJbsq) {
+                wc.numOrchestrators = orchs[i];
+                row.tput =
+                    tputUnderSlo(w, wc, slo_us, requests, pool.get());
+                WorkerServer worker(wc, w.registry);
+                RunResult res = worker.run(4.0, requests, w.mix);
+                row.executors = worker.numExecutors();
+                row.meanUs = res.latencyUs.mean();
+            } else if (i < kMlp) {
+                wc.jbsqBound = bounds[i - kJbsq];
+                row.tput =
+                    tputUnderSlo(w, wc, slo_us, requests, pool.get());
+                WorkerServer worker(wc, w.registry);
+                RunResult res = worker.run(4.0, requests, w.mix);
+                row.p99Us = res.latencyUs.p99();
+            } else {
+                wc.dispatchMlp = mlps[i - kMlp];
+                WorkerServer worker(wc, w.registry);
+                row.scanNs = worker.measureDispatchScanNs();
+                row.tput =
+                    tputUnderSlo(w, wc, slo_us, requests, pool.get());
+            }
+            return row;
         });
-    for (std::size_t i = 0; i < std::size(bounds); ++i)
-        group.run([&, i] {
-            WorkerConfig wc;
-            wc.jbsqBound = bounds[i];
-            JbsqRow row;
-            row.tput = tputUnderSlo(w, wc, slo_us, requests, pool.get());
-            WorkerServer worker(wc, w.registry);
-            RunResult res = worker.run(4.0, requests, w.mix);
-            row.p99Us = res.latencyUs.p99();
-            jbsq_rows.set(i, row);
-        });
-    for (std::size_t i = 0; i < std::size(mlps); ++i)
-        group.run([&, i] {
-            WorkerConfig wc;
-            wc.dispatchMlp = mlps[i];
-            MlpRow row;
-            WorkerServer worker(wc, w.registry);
-            row.scanNs = worker.measureDispatchScanNs();
-            row.tput = tputUnderSlo(w, wc, slo_us, requests, pool.get());
-            mlp_rows.set(i, row);
-        });
-    group.wait();
 
     bench::banner("Ablation 1: orchestrator count (Hipster)");
     {
@@ -128,7 +115,7 @@ main(int argc, char **argv)
                             "Tput under SLO (MRPS)",
                             "Mean latency @4MRPS (us)"});
         for (std::size_t i = 0; i < std::size(orchs); ++i) {
-            const OrchRow &row = orch_rows.at(i);
+            const Row &row = rows[i];
             table.addRow({stats::Table::cell(std::uint64_t(orchs[i])),
                           stats::Table::cell(row.executors),
                           stats::Table::cell(row.tput, "%.2f"),
@@ -145,7 +132,7 @@ main(int argc, char **argv)
         stats::Table table({"JBSQ bound", "Tput under SLO (MRPS)",
                             "P99 @4MRPS (us)"});
         for (std::size_t i = 0; i < std::size(bounds); ++i) {
-            const JbsqRow &row = jbsq_rows.at(i);
+            const Row &row = rows[kJbsq + i];
             table.addRow({stats::Table::cell(std::uint64_t(bounds[i])),
                           stats::Table::cell(row.tput, "%.2f"),
                           stats::Table::cell(row.p99Us, "%.2f")});
@@ -161,7 +148,7 @@ main(int argc, char **argv)
         stats::Table table({"Scan MLP", "Dispatch latency (ns)",
                             "Tput under SLO (MRPS)"});
         for (std::size_t i = 0; i < std::size(mlps); ++i) {
-            const MlpRow &row = mlp_rows.at(i);
+            const Row &row = rows[kMlp + i];
             table.addRow({stats::Table::cell(std::uint64_t(mlps[i])),
                           stats::Table::cell(row.scanNs, "%.0f"),
                           stats::Table::cell(row.tput, "%.2f")});

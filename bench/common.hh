@@ -15,8 +15,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "mem/coherence.hh"
 #include "noc/mesh.hh"
@@ -111,60 +109,16 @@ banner(const std::string &title)
 }
 
 /**
- * Per-point result slots for host-parallel benches. Accumulating into
- * a shared vector with push_back assumes single-threaded, in-order
- * append; a reordered or concurrent fill would silently corrupt the
- * series (and any percentiles derived from it). Slots make the
- * commit explicit: pre-sized, one writer per index, double-commit and
- * missing-commit are panics. Jobs running under par::ThreadPool must
- * likewise own their stats::Samplers and commit them here — never
- * record into a sampler shared across jobs.
- */
-template <typename T>
-class Slots
-{
-  public:
-    explicit Slots(std::size_t n) : values_(n), committed_(n, 0) {}
-
-    void
-    set(std::size_t i, T value)
-    {
-        if (i >= values_.size())
-            sim::panic("bench slot %zu out of range (%zu slots)", i,
-                       values_.size());
-        if (committed_[i])
-            sim::panic("bench slot %zu committed twice", i);
-        values_[i] = std::move(value);
-        committed_[i] = 1;
-    }
-
-    const T &
-    at(std::size_t i) const
-    {
-        if (i >= values_.size() || !committed_[i])
-            sim::panic("bench slot %zu read before commit", i);
-        return values_[i];
-    }
-
-    std::size_t size() const { return values_.size(); }
-
-  private:
-    std::vector<T> values_;
-    /** char, not vector<bool>: adjacent slots must not share bytes
-     * when committed from different threads. */
-    std::vector<char> committed_;
-};
-
-/**
  * Standard bench CLI: `--quick` shrinks the run for CI perf gating,
  * `--json PATH` overrides where the BENCH_<name>.json summary lands,
  * `--jobs N` fans independent simulation points across N host
- * threads (0 = all cores; output stays byte-identical to --jobs 1).
+ * threads (0 = all cores, default 1; output stays byte-identical to
+ * --jobs 1).
  */
 struct BenchArgs {
     bool quick = false;
     std::string jsonPath;
-    unsigned jobs = par::defaultJobs();
+    unsigned jobs = 1;
 
     static BenchArgs
     parse(int argc, char **argv, const std::string &bench_name)

@@ -130,8 +130,8 @@ main(int argc, char **argv)
 
     // Compute phase: both sections' points as one flat job list (the
     // Jord crash sweep first, then the NightCore drop sweep), each
-    // committing to its submission slot; the tables render afterwards
-    // so --jobs N output is byte-identical to --jobs 1.
+    // returned at its index; the tables render afterwards so --jobs N
+    // output is byte-identical to --jobs 1.
     std::unique_ptr<par::ThreadPool> pool = args.makePool();
     std::vector<RunResult> results = par::orderedMap<RunResult>(
         pool.get(), crash_rates.size() + drop_rates.size(),

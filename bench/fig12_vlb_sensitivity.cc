@@ -8,9 +8,9 @@
  * plus PrivLib's — already reach 99% of full throughput) and Media for
  * the D-VLB (eight entries cover the worst case of many live ArgBufs).
  *
- * Host-parallel: --jobs N runs the (workload, VLB-size) combinations
- * concurrently, each sweep fanning its own load points; output is
- * byte-identical to --jobs 1.
+ * Host-parallel: --jobs N runs the two variants concurrently; each
+ * measures its SLO, then fans its four VLB sizes, and each sweep fans
+ * its own load points; output is byte-identical to --jobs 1.
  */
 
 #include <cstdlib>
@@ -34,7 +34,7 @@ struct Variant {
     double lo, hi;
 };
 
-/** One (variant, entries) table row, committed by its job. */
+/** One (variant, entries) table row. */
 struct SizeRow {
     double tputUnderSlo = 0;
     double lowLoadP99Us = 0;
@@ -63,74 +63,68 @@ main(int argc, char **argv)
     };
     constexpr std::size_t kNumVariants = 2;
 
-    // Job graph: each variant's SLO measurement precedes its four
-    // VLB-size jobs; rows commit to per-combination slots.
-    std::vector<workloads::Workload> wls;
-    std::vector<std::vector<double>> loads;
-    for (const Variant &variant : variants) {
-        wls.push_back(workloads::makeByName(variant.workload));
-        loads.push_back(
-            workloads::loadSeries(variant.lo, variant.hi, 10));
-    }
     workloads::SweepConfig scfg;
     scfg.requestsPerPoint = requests;
     scfg.pool = pool.get();
 
-    bench::Slots<double> slo(kNumVariants);
-    bench::Slots<SizeRow> rows(kNumVariants * kNumSizes);
-    par::JobGraph graph;
-    for (std::size_t vi = 0; vi < kNumVariants; ++vi) {
-        par::JobGraph::NodeId slo_node = graph.add([&, vi] {
-            slo.set(vi, workloads::measureSloUs(wls[vi], scfg));
+    // One job per variant: its SLO measurement, then one nested job per
+    // VLB size.
+    struct VariantResult {
+        double sloUs = 0;
+        std::vector<SizeRow> rows;
+    };
+    std::vector<VariantResult> results = par::orderedMap<VariantResult>(
+        pool.get(), kNumVariants, [&](std::size_t vi) {
+            const Variant &variant = variants[vi];
+            workloads::Workload w = workloads::makeByName(variant.workload);
+            std::vector<double> loads =
+                workloads::loadSeries(variant.lo, variant.hi, 10);
+            VariantResult res;
+            res.sloUs = workloads::measureSloUs(w, scfg);
+            res.rows = par::orderedMap<SizeRow>(
+                pool.get(), kNumSizes, [&](std::size_t si) {
+                    unsigned entries = sizes[si];
+                    workloads::SweepConfig cfg = scfg;
+                    if (variant.vary_ivlb)
+                        cfg.worker.machine.ivlbEntries = entries;
+                    else
+                        cfg.worker.machine.dvlbEntries = entries;
+
+                    workloads::SweepResult sweep = workloads::sweepLoad(
+                        w, SystemKind::Jord, loads, res.sloUs, cfg);
+
+                    // Hit rate measured separately at a moderate load.
+                    WorkerConfig wc = cfg.worker;
+                    WorkerServer worker(wc, w.registry);
+                    RunResult run =
+                        worker.run(loads[3], requests / 2, w.mix);
+                    double hits = 0, total = 0;
+                    for (unsigned core = 0; core < wc.machine.numCores;
+                         ++core) {
+                        const uat::VlbStats &s =
+                            variant.vary_ivlb
+                                ? worker.uat().ivlb(core).stats()
+                                : worker.uat().dvlb(core).stats();
+                        hits += static_cast<double>(s.hits);
+                        total += static_cast<double>(s.hits + s.misses);
+                    }
+                    return SizeRow{sweep.throughputUnderSlo,
+                                   sweep.points.front().p99Us,
+                                   total > 0 ? hits / total : 0};
+                });
+            return res;
         });
-        for (std::size_t si = 0; si < kNumSizes; ++si) {
-            par::JobGraph::NodeId node = graph.add([&, vi, si] {
-                const Variant &variant = variants[vi];
-                unsigned entries = sizes[si];
-                workloads::SweepConfig cfg = scfg;
-                if (variant.vary_ivlb)
-                    cfg.worker.machine.ivlbEntries = entries;
-                else
-                    cfg.worker.machine.dvlbEntries = entries;
-
-                workloads::SweepResult res = workloads::sweepLoad(
-                    wls[vi], SystemKind::Jord, loads[vi], slo.at(vi),
-                    cfg);
-
-                // Hit rate measured separately at a moderate load.
-                WorkerConfig wc = cfg.worker;
-                WorkerServer worker(wc, wls[vi].registry);
-                RunResult run = worker.run(loads[vi][3], requests / 2,
-                                           wls[vi].mix);
-                double hits = 0, total = 0;
-                for (unsigned core = 0; core < wc.machine.numCores;
-                     ++core) {
-                    const uat::VlbStats &s =
-                        variant.vary_ivlb
-                            ? worker.uat().ivlb(core).stats()
-                            : worker.uat().dvlb(core).stats();
-                    hits += static_cast<double>(s.hits);
-                    total += static_cast<double>(s.hits + s.misses);
-                }
-                rows.set(vi * kNumSizes + si,
-                         SizeRow{res.throughputUnderSlo,
-                                 res.points.front().p99Us,
-                                 total > 0 ? hits / total : 0});
-            });
-            graph.precede(slo_node, node);
-        }
-    }
-    graph.run(pool.get());
 
     for (std::size_t vi = 0; vi < kNumVariants; ++vi) {
         const Variant &variant = variants[vi];
         std::printf("--- %s, varying %s (SLO = %.1f us) ---\n",
                     variant.workload,
-                    variant.vary_ivlb ? "I-VLB" : "D-VLB", slo.at(vi));
+                    variant.vary_ivlb ? "I-VLB" : "D-VLB",
+                    results[vi].sloUs);
         stats::Table table({"Entries", "Tput under SLO (MRPS)",
                             "P99 @ low load (us)", "VLB hit rate"});
         for (std::size_t si = 0; si < kNumSizes; ++si) {
-            const SizeRow &row = rows.at(vi * kNumSizes + si);
+            const SizeRow &row = results[vi].rows[si];
             table.addRow(
                 {stats::Table::cell(std::uint64_t(sizes[si])),
                  stats::Table::cell(row.tputUnderSlo, "%.2f"),

@@ -71,11 +71,18 @@ missPenaltyNs(bool btree, bool hot)
 
 } // namespace
 
-/** One system's table row, committed by its job. */
+/** One system's table row. */
 struct SystemRow {
     double tput = 0;
     double service = 0;
     double mgmt = 0;
+};
+
+/** One top-level job's result: a miss penalty, or the system rows
+ * that depend on the SLO measured by the same job. */
+struct Part {
+    double penaltyNs = 0;
+    std::vector<SystemRow> rows;
 };
 
 int
@@ -94,55 +101,55 @@ main(int argc, char **argv)
     std::vector<double> loads = workloads::loadSeries(0.5, 9.0, 12);
     const SystemKind systems[] = {SystemKind::Jord, SystemKind::JordBT};
 
-    // Compute phase: the four miss-penalty microbenchmarks, the SLO
-    // measurement, and (SLO-dependent) one job per system; results
-    // commit to slots and print afterwards in the fixed order.
-    bench::Slots<double> penalty(4); // (btree, hot) pairs, see below
+    // Compute phase: the four miss-penalty microbenchmarks, then the
+    // SLO measurement, whose job then fans one job per system; results
+    // print afterwards in the fixed order.
     const std::pair<bool, bool> penalty_cfgs[] = {
         {false, true}, {true, true}, {false, false}, {true, false}};
-    bench::Slots<double> slo(1);
-    bench::Slots<SystemRow> rows(2);
-    par::JobGraph graph;
-    for (std::size_t i = 0; i < 4; ++i)
-        graph.add([&, i] {
-            penalty.set(i, missPenaltyNs(penalty_cfgs[i].first,
-                                         penalty_cfgs[i].second));
+    constexpr std::size_t kSloJob = 4;
+    std::vector<Part> parts = par::orderedMap<Part>(
+        pool.get(), kSloJob + 1, [&](std::size_t job) {
+            Part part;
+            if (job < kSloJob) {
+                part.penaltyNs = missPenaltyNs(penalty_cfgs[job].first,
+                                               penalty_cfgs[job].second);
+                return part;
+            }
+            double slo_us = workloads::measureSloUs(w, cfg);
+            part.rows = par::orderedMap<SystemRow>(
+                pool.get(), 2, [&](std::size_t i) {
+                    SystemRow row;
+                    workloads::SweepResult sweep = workloads::sweepLoad(
+                        w, systems[i], loads, slo_us, cfg);
+                    row.tput = sweep.throughputUnderSlo;
+                    // Service time + PrivLib accounting at a common
+                    // moderate load.
+                    WorkerConfig wc = cfg.worker;
+                    wc.system = systems[i];
+                    WorkerServer worker(wc, w.registry);
+                    worker.privlib().resetStats();
+                    RunResult res = worker.run(2.0, requests, w.mix);
+                    row.service = res.serviceUs.mean();
+                    row.mgmt =
+                        sim::cyclesToNs(
+                            static_cast<double>(
+                                worker.privlib().vmaManagementCycles()),
+                            wc.machine.freqGhz) /
+                        static_cast<double>(res.invocations);
+                    return row;
+                });
+            return part;
         });
-    par::JobGraph::NodeId slo_node = graph.add(
-        [&] { slo.set(0, workloads::measureSloUs(w, cfg)); });
-    for (std::size_t i = 0; i < 2; ++i) {
-        par::JobGraph::NodeId node = graph.add([&, i] {
-            SystemRow row;
-            workloads::SweepResult sweep = workloads::sweepLoad(
-                w, systems[i], loads, slo.at(0), cfg);
-            row.tput = sweep.throughputUnderSlo;
-            // Service time + PrivLib accounting at a common moderate
-            // load.
-            WorkerConfig wc = cfg.worker;
-            wc.system = systems[i];
-            WorkerServer worker(wc, w.registry);
-            worker.privlib().resetStats();
-            RunResult res = worker.run(2.0, requests, w.mix);
-            row.service = res.serviceUs.mean();
-            row.mgmt = sim::cyclesToNs(
-                           static_cast<double>(
-                               worker.privlib().vmaManagementCycles()),
-                           wc.machine.freqGhz) /
-                       static_cast<double>(res.invocations);
-            rows.set(i, row);
-        });
-        graph.precede(slo_node, node);
-    }
-    graph.run(pool.get());
+    const std::vector<SystemRow> &rows = parts[kSloJob].rows;
 
     bench::banner("Figure 13: plain-list vs B-tree VMA table (Hotel)");
 
     std::printf("VLB miss penalty (hot working set):   plain list "
                 "%.1f ns, B-tree %.1f ns\n",
-                penalty.at(0), penalty.at(1));
+                parts[0].penaltyNs, parts[1].penaltyNs);
     std::printf("VLB miss penalty (spread over table): plain list "
                 "%.1f ns, B-tree %.1f ns\n",
-                penalty.at(2), penalty.at(3));
+                parts[2].penaltyNs, parts[3].penaltyNs);
     std::printf("(paper: 2 ns common case vs 20 ns with the B-tree)\n\n");
 
     stats::Table table({"System", "Tput under SLO (MRPS)",
@@ -150,9 +157,9 @@ main(int argc, char **argv)
                         "VMA mgmt (ns/invocation)"});
     double tput[2], service[2], mgmt[2];
     for (int i = 0; i < 2; ++i) {
-        tput[i] = rows.at(i).tput;
-        service[i] = rows.at(i).service;
-        mgmt[i] = rows.at(i).mgmt;
+        tput[i] = rows[i].tput;
+        service[i] = rows[i].service;
+        mgmt[i] = rows[i].mgmt;
         table.addRow({systemName(systems[i]),
                       stats::Table::cell(tput[i], "%.2f"),
                       stats::Table::cell(service[i], "%.2f"),

@@ -13,8 +13,8 @@
  * orchestrators.
  *
  * Host-parallel: --jobs N runs the scale points (and their dispatch
- * scanners) concurrently — submitted largest-machine first so the
- * critical path drains early — with byte-identical output; the CI
+ * scanners) concurrently — largest machine first so the critical path
+ * drains early — with byte-identical output; the CI
  * parallel-determinism job also gates the wall-clock speedup here.
  */
 
@@ -39,10 +39,12 @@ struct Scale {
     unsigned sockets;
 };
 
-/** What one scale point contributes to the table. */
+/** What one scale point contributes to the table: its loaded run
+ * fills the first two fields, its dispatch scanner the third. */
 struct ScaleRow {
     double serviceUs = 0;
     double shootdownNs = 0;
+    double dispatchUs = 0;
 };
 
 } // namespace
@@ -66,44 +68,50 @@ main(int argc, char **argv)
     workloads::Workload w = workloads::makeHipster();
 
     // Two jobs per scale: the loaded run and the single-orchestrator
-    // dispatch scanner. Jobs commit to per-scale slots and printing
-    // follows in fixed order, so --jobs N output matches --jobs 1.
-    bench::Slots<ScaleRow> rows(kNumScales);
-    bench::Slots<double> dispatch_us(kNumScales);
-    par::TaskGroup group(pool.get());
-    // Largest machines first: they dominate wall-clock, so they must
-    // not start in the last scheduling round. (Commit slots keep the
-    // output order independent of this.)
-    for (std::size_t n = kNumScales; n-- > 0;) {
-        group.run([&, &scale = scales[n], n] {
-            // Service time and shootdown latency come from a
-            // realistically deployed worker (per-socket orchestrators)
-            // at a fixed per-core load, so they reflect scale, not
-            // utilization.
-            WorkerConfig cfg;
-            cfg.machine =
-                sim::MachineConfig::scaled(scale.cores, scale.sockets);
-            cfg.numOrchestrators = std::max(2u, scale.cores / 8);
-            WorkerServer worker(cfg, w.registry);
-            double load = 0.03 * scale.cores;
-            RunResult res = worker.run(load, requests, w.mix);
-            rows.set(n, ScaleRow{res.serviceUs.mean(),
-                                 res.shootdownNs.mean()});
+    // dispatch scanner. Job 2k and 2k+1 belong to scale
+    // kNumScales-1-k: largest machines first, since they dominate
+    // wall-clock and must not start in the last scheduling round.
+    // Printing follows in fixed order, so --jobs N output matches
+    // --jobs 1.
+    auto scaleOf = [](std::size_t job) { return kNumScales - 1 - job / 2; };
+    std::vector<ScaleRow> parts = par::orderedMap<ScaleRow>(
+        pool.get(), 2 * kNumScales, [&](std::size_t job) {
+            const Scale &scale = scales[scaleOf(job)];
+            ScaleRow part;
+            if (job % 2 == 0) {
+                // Service time and shootdown latency come from a
+                // realistically deployed worker (per-socket
+                // orchestrators) at a fixed per-core load, so they
+                // reflect scale, not utilization.
+                WorkerConfig cfg;
+                cfg.machine =
+                    sim::MachineConfig::scaled(scale.cores, scale.sockets);
+                cfg.numOrchestrators = std::max(2u, scale.cores / 8);
+                WorkerServer worker(cfg, w.registry);
+                double load = 0.03 * scale.cores;
+                RunResult res = worker.run(load, requests, w.mix);
+                part.serviceUs = res.serviceUs.mean();
+                part.shootdownNs = res.shootdownNs.mean();
+            } else {
+                // The dispatch series is the paper's stress case: a
+                // single orchestrator scanning every executor in the
+                // system, all of whose queue-length lines changed since
+                // its last scan.
+                WorkerConfig scan_cfg;
+                scan_cfg.machine =
+                    sim::MachineConfig::scaled(scale.cores, scale.sockets);
+                scan_cfg.numOrchestrators = 1;
+                scan_cfg.perSocketOrchestrators = false;
+                WorkerServer scanner(scan_cfg, w.registry);
+                part.dispatchUs = scanner.measureDispatchScanNs() / 1000.0;
+            }
+            return part;
         });
-        group.run([&, &scale = scales[n], n] {
-            // The dispatch series is the paper's stress case: a single
-            // orchestrator scanning every executor in the system, all
-            // of whose queue-length lines changed since its last scan.
-            WorkerConfig scan_cfg;
-            scan_cfg.machine =
-                sim::MachineConfig::scaled(scale.cores, scale.sockets);
-            scan_cfg.numOrchestrators = 1;
-            scan_cfg.perSocketOrchestrators = false;
-            WorkerServer scanner(scan_cfg, w.registry);
-            dispatch_us.set(n, scanner.measureDispatchScanNs() / 1000.0);
-        });
+    std::vector<ScaleRow> rows(kNumScales);
+    for (std::size_t job = 0; job < parts.size(); job += 2) {
+        rows[scaleOf(job)] = parts[job];
+        rows[scaleOf(job)].dispatchUs = parts[job + 1].dispatchUs;
     }
-    group.wait();
 
     bench::banner("Figure 14: scalability with system size (Hipster)");
 
@@ -111,15 +119,15 @@ main(int argc, char **argv)
                         "VLB shootdown (ns)", "Dispatch (us)"});
     std::map<std::string, double> json;
     for (std::size_t n = 0; n < kNumScales; ++n) {
-        const ScaleRow &row = rows.at(n);
+        const ScaleRow &row = rows[n];
         table.addRow({scales[n].name,
                       stats::Table::cell(row.serviceUs, "%.2f"),
                       stats::Table::cell(row.shootdownNs, "%.1f"),
-                      stats::Table::cell(dispatch_us.at(n), "%.2f")});
+                      stats::Table::cell(row.dispatchUs, "%.2f")});
         std::string prefix = std::string("fig14.") + scales[n].name;
         json[prefix + ".service_us"] = row.serviceUs;
         json[prefix + ".shootdown_ns"] = row.shootdownNs;
-        json[prefix + ".dispatch_us"] = dispatch_us.at(n);
+        json[prefix + ".dispatch_us"] = row.dispatchUs;
     }
     std::printf("%s", table.render().c_str());
     std::printf("\nExpected shape: service time and shootdown latency\n"

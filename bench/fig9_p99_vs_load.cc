@@ -9,10 +9,10 @@
  * average, with NightCore failing the SLO even at minimum load for the
  * communication-heavy workloads (Hipster, Media).
  *
- * Host-parallel: --jobs N fans the work across N threads as a job
- * graph — each workload's SLO measurement precedes its three system
- * sweeps, and every sweep fans its load points — with output
- * byte-identical to --jobs 1 (the CI parallel-determinism gate).
+ * Host-parallel: --jobs N fans the workloads across N threads; each
+ * workload's job measures its SLO, then fans its three system sweeps,
+ * and every sweep fans its load points — with output byte-identical
+ * to --jobs 1 (the CI parallel-determinism gate).
  *
  * Environment knobs: JORD_FIG9_REQUESTS (default 20000) trades run time
  * for P99 fidelity.
@@ -61,33 +61,28 @@ main(int argc, char **argv)
         if (!args.quick || w.name == "Hotel")
             active.push_back(&w);
 
-    // Compute phase: a job graph over all workloads and systems. Each
-    // node commits to its own slot; printing happens afterwards, in
-    // the fixed serial order, so output is thread-count independent.
-    std::vector<std::vector<double>> loads(active.size());
-    bench::Slots<double> slo(active.size());
-    bench::Slots<SweepResult> sweeps(active.size() * kNumSystems);
-
-    par::JobGraph graph;
-    for (std::size_t wi = 0; wi < active.size(); ++wi) {
-        const workloads::Workload *w = active[wi];
-        auto range = ranges.at(w->name);
-        loads[wi] = workloads::loadSeries(range.first, range.second,
-                                          args.quick ? 5 : 14);
-        par::JobGraph::NodeId slo_node = graph.add(
-            [&, w, wi] { slo.set(wi, workloads::measureSloUs(*w, cfg)); });
-        for (std::size_t si = 0; si < kNumSystems; ++si) {
-            SystemKind system = systems[si];
-            par::JobGraph::NodeId node = graph.add([&, w, wi, system,
-                                                    si] {
-                sweeps.set(wi * kNumSystems + si,
-                           workloads::sweepLoad(*w, system, loads[wi],
-                                                slo.at(wi), cfg));
-            });
-            graph.precede(slo_node, node);
-        }
-    }
-    graph.run(pool.get());
+    // Compute phase: one job per workload measures the SLO its sweeps
+    // need, then nests the system sweeps. Printing happens afterwards,
+    // in the fixed serial order, so output is thread-count independent.
+    struct WorkloadResult {
+        double sloUs = 0;
+        std::vector<SweepResult> sweeps;
+    };
+    std::vector<WorkloadResult> results = par::orderedMap<WorkloadResult>(
+        pool.get(), active.size(), [&](std::size_t wi) {
+            const workloads::Workload &w = *active[wi];
+            auto range = ranges.at(w.name);
+            std::vector<double> loads = workloads::loadSeries(
+                range.first, range.second, args.quick ? 5 : 14);
+            WorkloadResult res;
+            res.sloUs = workloads::measureSloUs(w, cfg);
+            res.sweeps = par::orderedMap<SweepResult>(
+                pool.get(), kNumSystems, [&](std::size_t si) {
+                    return workloads::sweepLoad(w, systems[si], loads,
+                                                res.sloUs, cfg);
+                });
+            return res;
+        });
 
     bench::banner("Figure 9: P99 latency vs load (per workload/system)");
 
@@ -98,7 +93,7 @@ main(int argc, char **argv)
 
     for (std::size_t wi = 0; wi < active.size(); ++wi) {
         const workloads::Workload &w = *active[wi];
-        double slo_us = slo.at(wi);
+        double slo_us = results[wi].sloUs;
         json["fig9." + w.name + ".slo_us"] = slo_us;
 
         std::printf("--- %s (SLO = %.1f us) ---\n", w.name.c_str(),
@@ -108,7 +103,7 @@ main(int argc, char **argv)
         std::map<SystemKind, double> under_slo;
         for (std::size_t si = 0; si < kNumSystems; ++si) {
             SystemKind system = systems[si];
-            const SweepResult &res = sweeps.at(wi * kNumSystems + si);
+            const SweepResult &res = results[wi].sweeps[si];
             for (const auto &p : res.points) {
                 series.addRow({systemName(system),
                                stats::Table::cell(p.offeredMrps, "%.2f"),

@@ -1,11 +1,6 @@
 #include "par/par.hh"
 
-#include <chrono>
-#include <cstdlib>
-#include <set>
-
-#include "sim/env.hh"
-#include "sim/logging.hh"
+#include <exception>
 
 namespace jord::par {
 
@@ -18,355 +13,133 @@ resolveJobs(unsigned requested)
     return hw != 0 ? hw : 1;
 }
 
-unsigned
-defaultJobs()
-{
-    if (const char *env = sim::env::get("JORD_JOBS"))
-        return resolveJobs(static_cast<unsigned>(
-            std::strtoul(env, nullptr, 10)));
-    return 1;
-}
-
 // --- ThreadPool ----------------------------------------------------------
 
 ThreadPool::ThreadPool(unsigned num_threads)
 {
     unsigned n = num_threads == 0 ? 1 : num_threads;
-    queues_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     threads_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lk(sleepMu_);
-        stop_.store(true);
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_ = true;
     }
-    sleepCv_.notify_all();
+    cv_.notify_all();
+    // Workers exit only once the deque is empty, so every submitted
+    // task has run when the joins return.
     for (std::thread &t : threads_)
         t.join();
-    // Drain tasks that were submitted but never waited on (the workers
-    // drain before exiting too; this covers a submit racing shutdown).
-    while (runOne()) {
-    }
 }
 
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    std::size_t slot = rr_.fetch_add(1) % queues_.size();
     {
-        std::lock_guard<std::mutex> lk(queues_[slot]->mu);
-        queues_[slot]->tasks.push_back(std::move(task));
+        std::lock_guard<std::mutex> lk(mu_);
+        tasks_.push_back(std::move(task));
     }
-    queued_.fetch_add(1);
-    {
-        // Empty critical section: pairs with the predicate check under
-        // sleepMu_ so a worker between "predicate false" and "sleep"
-        // cannot miss this notification.
-        std::lock_guard<std::mutex> lk(sleepMu_);
-    }
-    sleepCv_.notify_one();
-}
-
-bool
-ThreadPool::popFrom(unsigned queue, bool back, std::function<void()> &out)
-{
-    WorkerQueue &q = *queues_[queue];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (q.tasks.empty())
-        return false;
-    if (back) {
-        out = std::move(q.tasks.back());
-        q.tasks.pop_back();
-    } else {
-        out = std::move(q.tasks.front());
-        q.tasks.pop_front();
-    }
-    queued_.fetch_sub(1);
-    return true;
-}
-
-bool
-ThreadPool::tryRun(unsigned self)
-{
-    std::function<void()> task;
-    // Own queue first (front: rough submission order), then steal from
-    // the siblings' opposite end.
-    bool found = popFrom(self, /*back=*/false, task);
-    for (unsigned i = 1; !found && i < queues_.size(); ++i)
-        found = popFrom((self + i) % queues_.size(), /*back=*/true,
-                        task);
-    if (!found)
-        return false;
-    task();
-    tasksRun_.fetch_add(1);
-    return true;
-}
-
-bool
-ThreadPool::runOne()
-{
-    // External threads (and waiters) scan from queue 0; any runnable
-    // task will do.
-    std::function<void()> task;
-    bool found = false;
-    for (unsigned i = 0; !found && i < queues_.size(); ++i)
-        found = popFrom(i, /*back=*/true, task);
-    if (!found)
-        return false;
-    task();
-    tasksRun_.fetch_add(1);
-    return true;
+    cv_.notify_one();
 }
 
 void
-ThreadPool::workerLoop(unsigned self)
+ThreadPool::workerLoop()
 {
     for (;;) {
-        if (tryRun(self))
-            continue;
-        std::unique_lock<std::mutex> lk(sleepMu_);
-        sleepCv_.wait(lk, [this] {
-            return stop_.load() || queued_.load() > 0;
-        });
-        if (stop_.load() && queued_.load() == 0)
-            return;
-    }
-}
-
-// --- TaskGroup -----------------------------------------------------------
-
-TaskGroup::~TaskGroup()
-{
-    // Jobs reference this group; block until they all finished. An
-    // exception surfacing here has nowhere to go — call wait()
-    // explicitly to observe it.
-    std::unique_lock<std::mutex> lk(mu_);
-    while (done_ != submitted_) {
-        lk.unlock();
-        if (!pool_ || !pool_->runOne())
-            std::this_thread::yield();
-        lk.lock();
-        if (done_ != submitted_)
-            cv_.wait_for(lk, std::chrono::microseconds(200));
-    }
-}
-
-void
-TaskGroup::recordError(std::size_t index, std::exception_ptr error)
-{
-    // Deterministic propagation: keep the lowest submission index.
-    if (!error_ || index < errorIndex_) {
-        error_ = std::move(error);
-        errorIndex_ = index;
-    }
-}
-
-void
-TaskGroup::finish(std::size_t index, std::exception_ptr error)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    if (error)
-        recordError(index, std::move(error));
-    ++done_;
-    cv_.notify_all();
-}
-
-void
-TaskGroup::run(std::function<void()> fn)
-{
-    std::size_t index = submitted_++;
-    if (!pool_) {
-        // Serial: execute inline, in submission order — the same code
-        // path the parallel case runs, minus the scheduling.
-        try {
-            fn();
-        } catch (...) {
-            recordError(index, std::current_exception());
+        std::function<void()> task;
+        {
+            std::unique_lock<std::mutex> lk(mu_);
+            cv_.wait(lk, [this] { return stop_ || !tasks_.empty(); });
+            if (tasks_.empty())
+                return; // stopped and drained
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
         }
-        ++done_;
-        return;
-    }
-    pool_->submit([this, index, fn = std::move(fn)] {
-        std::exception_ptr error;
-        try {
-            fn();
-        } catch (...) {
-            error = std::current_exception();
-        }
-        finish(index, error);
-    });
-}
-
-void
-TaskGroup::wait()
-{
-    std::unique_lock<std::mutex> lk(mu_);
-    while (done_ != submitted_) {
-        lk.unlock();
-        // Help the pool while blocked: nested submissions always make
-        // progress because every waiter is also a worker.
-        bool ran = pool_ && pool_->runOne();
-        lk.lock();
-        if (!ran && done_ != submitted_)
-            cv_.wait_for(lk, std::chrono::microseconds(200));
-    }
-    if (error_) {
-        std::exception_ptr error = error_;
-        error_ = nullptr;
-        std::rethrow_exception(error);
+        task();
     }
 }
 
-// --- JobGraph ------------------------------------------------------------
+// --- forkJoin ------------------------------------------------------------
 
-JobGraph::NodeId
-JobGraph::add(std::function<void()> fn)
-{
-    nodes_.push_back(Node{std::move(fn), {}, 0});
-    return nodes_.size() - 1;
-}
+namespace {
 
-void
-JobGraph::precede(NodeId before, NodeId after)
-{
-    if (before >= nodes_.size() || after >= nodes_.size())
-        sim::panic("JobGraph::precede: node out of range (%zu -> %zu, "
-                   "%zu nodes)",
-                   before, after, nodes_.size());
-    if (before == after)
-        sim::panic("JobGraph::precede: self-edge on node %zu", before);
-    nodes_[before].successors.push_back(after);
-    ++nodes_[after].numPredecessors;
-}
-
-void
-JobGraph::checkAcyclic() const
-{
-    std::vector<unsigned> pending(nodes_.size());
-    std::vector<NodeId> ready;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        pending[id] = nodes_[id].numPredecessors;
-        if (pending[id] == 0)
-            ready.push_back(id);
-    }
-    std::size_t visited = 0;
-    while (!ready.empty()) {
-        NodeId id = ready.back();
-        ready.pop_back();
-        ++visited;
-        for (NodeId succ : nodes_[id].successors)
-            if (--pending[succ] == 0)
-                ready.push_back(succ);
-    }
-    if (visited != nodes_.size())
-        sim::panic("JobGraph: dependency cycle (%zu of %zu nodes "
-                   "reachable)",
-                   visited, nodes_.size());
-}
-
-void
-JobGraph::runSerial()
-{
-    // Kahn's algorithm, lowest id first among ready nodes: the
-    // deterministic reference order the parallel schedule must be
-    // output-equivalent to.
-    std::vector<unsigned> pending(nodes_.size());
-    std::set<NodeId> ready;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        pending[id] = nodes_[id].numPredecessors;
-        if (pending[id] == 0)
-            ready.insert(id);
-    }
+/** One join's bookkeeping, guarded by the pool's mutex. */
+struct Join {
+    std::mutex &mu;
+    std::condition_variable &cv;
+    const std::function<void(std::size_t)> &job;
+    std::size_t remaining;
+    std::size_t errorIndex;
     std::exception_ptr error;
-    NodeId error_id = 0;
-    while (!ready.empty()) {
-        NodeId id = *ready.begin();
-        ready.erase(ready.begin());
-        try {
-            nodes_[id].fn();
-        } catch (...) {
-            if (!error || id < error_id) {
-                error = std::current_exception();
-                error_id = id;
+};
+
+} // namespace
+
+void
+detail::forkJoin(ThreadPool *pool, std::size_t n,
+                 const std::function<void(std::size_t)> &job)
+{
+    if (!pool || pool->numThreads() <= 1) {
+        // Serial: inline, in index order — the same jobs the parallel
+        // path runs, minus the scheduling. The first failure is the
+        // lowest-index one; later jobs still run.
+        std::exception_ptr error;
+        for (std::size_t i = 0; i < n; ++i) {
+            try {
+                job(i);
+            } catch (...) {
+                if (!error)
+                    error = std::current_exception();
             }
         }
-        for (NodeId succ : nodes_[id].successors)
-            if (--pending[succ] == 0)
-                ready.insert(succ);
+        if (error)
+            std::rethrow_exception(error);
+        return;
     }
-    if (error)
-        std::rethrow_exception(error);
-}
 
-void
-JobGraph::runParallel(ThreadPool &pool)
-{
-    struct RunState {
-        std::vector<std::atomic<unsigned>> pending;
-        std::mutex mu;
-        std::condition_variable cv;
-        std::size_t done = 0;
-        std::exception_ptr error;
-        NodeId errorId = 0;
-        explicit RunState(std::size_t n) : pending(n) {}
-    };
-    RunState state(nodes_.size());
-    for (NodeId id = 0; id < nodes_.size(); ++id)
-        state.pending[id].store(nodes_[id].numPredecessors);
-
-    // submitNode is self-referential (completions schedule successors),
-    // so it lives behind a function pointer captured by reference.
-    std::function<void(NodeId)> submitNode = [&](NodeId id) {
-        pool.submit([&, id] {
+    Join join{pool->mu_, pool->cv_, job, n, n, nullptr};
+    for (std::size_t i = 0; i < n; ++i)
+        pool->submit([&join, i] {
             std::exception_ptr error;
             try {
-                nodes_[id].fn();
+                join.job(i);
             } catch (...) {
                 error = std::current_exception();
             }
-            for (NodeId succ : nodes_[id].successors)
-                if (state.pending[succ].fetch_sub(1) == 1)
-                    submitNode(succ);
-            std::lock_guard<std::mutex> lk(state.mu);
-            if (error &&
-                (!state.error || id < state.errorId)) {
-                state.error = error;
-                state.errorId = id;
+            std::lock_guard<std::mutex> lk(join.mu);
+            // Deterministic propagation: keep the lowest index.
+            if (error && i < join.errorIndex) {
+                join.error = std::move(error);
+                join.errorIndex = i;
             }
-            ++state.done;
-            state.cv.notify_all();
+            if (--join.remaining == 0)
+                join.cv.notify_all();
         });
-    };
-    for (NodeId id = 0; id < nodes_.size(); ++id)
-        if (nodes_[id].numPredecessors == 0)
-            submitNode(id);
 
-    std::unique_lock<std::mutex> lk(state.mu);
-    while (state.done != nodes_.size()) {
+    // Help until every job finished. The newest task is most likely
+    // one of this join's own jobs (or a descendant of one), so running
+    // it shortens the wait; the oldest may be an unrelated outer job
+    // that would hold this thread long after its own jobs are done.
+    std::deque<std::function<void()>> &tasks = pool->tasks_;
+    std::unique_lock<std::mutex> lk(join.mu);
+    for (;;) {
+        join.cv.wait(lk,
+                     [&] { return join.remaining == 0 || !tasks.empty(); });
+        if (join.remaining == 0)
+            break;
+        std::function<void()> task = std::move(tasks.back());
+        tasks.pop_back();
         lk.unlock();
-        bool ran = pool.runOne();
+        task();
+        task = nullptr;
         lk.lock();
-        if (!ran && state.done != nodes_.size())
-            state.cv.wait_for(lk, std::chrono::microseconds(200));
     }
-    if (state.error)
-        std::rethrow_exception(state.error);
-}
-
-void
-JobGraph::run(ThreadPool *pool)
-{
-    checkAcyclic();
-    if (pool && pool->numThreads() > 1)
-        runParallel(*pool);
-    else
-        runSerial();
+    if (join.error)
+        std::rethrow_exception(join.error);
 }
 
 } // namespace jord::par

@@ -1,41 +1,42 @@
 /**
  * @file
- * Host-parallel run engine: a small work-stealing thread pool plus a
- * job-graph scheduler (taskflow-inspired, no external dependencies)
- * for fanning independent simulation runs — sweep points, seeds,
- * (workload, system) pairs, fault-matrix configs — across host cores.
+ * Host-parallel run engine: a small thread pool plus one fork-join
+ * primitive, orderedMap, for fanning independent simulation runs —
+ * sweep points, seeds, (workload, system) pairs, fault-matrix configs —
+ * across host cores.
  *
  * Determinism contract (DESIGN.md §9): jobs must be independent. Each
  * job owns its Machine/EventQueue/Rng/trace/metrics/PMU instances and
- * touches no shared mutable state; a job's only output is the value it
- * commits to its own submission-indexed slot. Results are consumed in
- * submission order after the fork-join region, so everything derived
- * from them (CSV, JSON, tables, traces) is byte-identical regardless
- * of the thread count — including the serial single-thread case.
+ * touches no shared mutable state; a job's only output is its return
+ * value, which orderedMap stores at the job's index. Results are
+ * consumed in index order after the join, so everything derived from
+ * them (CSV, JSON, tables, traces) is byte-identical regardless of the
+ * thread count — including the serial single-thread case.
+ *
+ * A dependency is expressed as nesting: a job that must precede others
+ * (e.g. measuring a workload's SLO) runs first inside the enclosing
+ * job, which then calls orderedMap over the runs that need its result.
  *
  * Exceptions propagate deterministically too: when several jobs throw,
- * the surviving exception is the one from the *lowest submission
- * index*, not the temporally first, so failure output does not depend
- * on scheduling either. A failure does not cancel the remaining jobs
- * (they are independent by contract), matching serial semantics where
- * the error is raised only at the join point.
+ * the surviving exception is the one from the *lowest index*, not the
+ * temporally first, so failure output does not depend on scheduling
+ * either. A failure does not cancel the remaining jobs (they are
+ * independent by contract), matching serial semantics where the error
+ * is raised only at the join.
  *
- * Nested fork-join is deadlock-free: a thread blocked in wait() helps
- * execute pending pool tasks, so submissions from inside jobs (e.g. a
- * per-workload sweep job fanning its own load points) always make
- * progress even when every pool thread is inside a wait.
+ * Nested fork-join is deadlock-free: a thread blocked at a join runs
+ * pending pool tasks meanwhile, so submissions from inside jobs (e.g. a
+ * per-workload job fanning its systems, each fanning its load points)
+ * always make progress even when every pool thread is inside a join.
  */
 
 #ifndef JORD_PAR_PAR_HH
 #define JORD_PAR_PAR_HH
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -45,23 +46,30 @@ namespace jord::par {
 /** Resolve a --jobs value: 0 means "all host cores" (at least 1). */
 unsigned resolveJobs(unsigned requested);
 
-/**
- * Default --jobs value: the JORD_JOBS environment variable (0 = all
- * host cores) when set, otherwise 1 (serial — parallelism is opt-in
- * so existing scripts keep their exact behaviour and timing).
- */
-unsigned defaultJobs();
+class ThreadPool;
+
+namespace detail {
 
 /**
- * A work-stealing thread pool. Each worker owns a task deque; it pops
- * work from the front of its own deque and steals from the back of a
- * sibling's when empty. Tasks are coarse (whole simulation runs), so
- * the queues are mutex-protected — contention is negligible next to
- * the milliseconds-to-seconds a task runs for.
+ * The join behind orderedMap: run job(0) .. job(n-1) and return once
+ * all of them finished, rethrowing the lowest-index exception if any
+ * job threw. A null or single-thread pool runs the jobs inline, in
+ * index order, on the calling thread.
+ */
+void forkJoin(ThreadPool *pool, std::size_t n,
+              const std::function<void(std::size_t)> &job);
+
+} // namespace detail
+
+/**
+ * A fixed set of worker threads sharing one FIFO task deque. Tasks are
+ * coarse (whole simulation runs), so one mutex-protected deque has
+ * negligible contention next to the milliseconds-to-seconds a task
+ * runs for. Workers take the oldest task; a thread waiting at a join
+ * takes the newest (DESIGN.md §9 says why).
  *
  * Destruction drains every submitted task before returning (join
- * semantics); prefer waiting through TaskGroup/orderedMap/JobGraph so
- * exceptions are observed.
+ * semantics); prefer orderedMap so exceptions are observed.
  */
 class ThreadPool
 {
@@ -78,151 +86,44 @@ class ThreadPool
         return static_cast<unsigned>(threads_.size());
     }
 
-    /** Enqueue a task (round-robin across the worker deques). */
+    /** Enqueue one task at the back of the deque. The task must not
+     * throw: an exception escaping a worker ends the program. */
     void submit(std::function<void()> task);
 
-    /**
-     * Run one pending task on the calling thread, if any is runnable.
-     * Waiters call this in a loop to help drain the pool — this is
-     * what makes nested submission deadlock-free.
-     * @return false when no task was runnable.
-     */
-    bool runOne();
-
-    /** Tasks submitted over the pool's lifetime (tests, stats). */
-    std::uint64_t tasksRun() const { return tasksRun_.load(); }
-
   private:
-    struct WorkerQueue {
-        std::mutex mu;
-        std::deque<std::function<void()>> tasks;
-    };
+    friend void detail::forkJoin(
+        ThreadPool *pool, std::size_t n,
+        const std::function<void(std::size_t)> &job);
 
-    void workerLoop(unsigned self);
-    /** Pop from own front, else steal from a sibling's back. */
-    bool tryRun(unsigned self);
-    bool popFrom(unsigned queue, bool back,
-                 std::function<void()> &out);
+    void workerLoop();
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> threads_;
-    std::mutex sleepMu_;
-    std::condition_variable sleepCv_;
-    std::atomic<bool> stop_{false};
-    /** Tasks sitting in queues (not yet popped). */
-    std::atomic<std::size_t> queued_{0};
-    std::atomic<std::size_t> rr_{0};
-    std::atomic<std::uint64_t> tasksRun_{0};
-};
-
-/**
- * A fork-join region: run() submits jobs, wait() blocks (helping the
- * pool) until all of them finished, then rethrows the lowest-index
- * exception if any job failed.
- *
- * With a null pool the jobs execute inline, in submission order, on
- * the calling thread — the serial path runs the exact same code the
- * parallel path does, which is what the byte-identity contract rests
- * on. The group must outlive its jobs: wait() (or the destructor,
- * which waits but drops any exception) must run before destruction.
- */
-class TaskGroup
-{
-  public:
-    /** @p pool may be null: jobs then run inline at run(). */
-    explicit TaskGroup(ThreadPool *pool) : pool_(pool) {}
-    ~TaskGroup();
-
-    TaskGroup(const TaskGroup &) = delete;
-    TaskGroup &operator=(const TaskGroup &) = delete;
-
-    /** Submit the next job (its submission index is implicit). */
-    void run(std::function<void()> fn);
-
-    /** Join: help the pool until every job finished; rethrow the
-     * lowest-submission-index exception if any. */
-    void wait();
-
-  private:
-    void finish(std::size_t index, std::exception_ptr error);
-    void recordError(std::size_t index, std::exception_ptr error);
-
-    ThreadPool *pool_;
-    std::size_t submitted_ = 0;
+    /** Guards tasks_, stop_ and the state of every join in flight. */
     std::mutex mu_;
+    /** Signalled on submit, on a join's last completion and on stop. */
     std::condition_variable cv_;
-    std::size_t done_ = 0;
-    std::size_t errorIndex_ = 0;
-    std::exception_ptr error_;
+    std::deque<std::function<void()>> tasks_;
+    bool stop_ = false;
+    std::vector<std::thread> threads_;
 };
 
 /**
- * Run fn(0) .. fn(n-1) across the pool and return the results in
- * submission (index) order — the workhorse for sweep points, seeds
- * and bench configurations. T must be default-constructible and
- * movable. Serial (pool == null or single-threaded pool) and parallel
- * executions return byte-identical vectors for independent jobs.
+ * Run fn(0) .. fn(n-1) across the pool and return the results in index
+ * order — the one way runs fan out: sweep points, seeds, bench
+ * configurations, and (nested) whatever depends on an earlier result.
+ * T must be default-constructible and movable. Serial (pool == null or
+ * single-threaded pool) and parallel executions return byte-identical
+ * vectors for independent jobs.
  */
 template <typename T, typename Fn>
 std::vector<T>
 orderedMap(ThreadPool *pool, std::size_t n, Fn fn)
 {
     std::vector<T> out(n);
-    TaskGroup group(pool && pool->numThreads() > 1 ? pool : nullptr);
-    for (std::size_t i = 0; i < n; ++i)
-        group.run([&out, &fn, i] { out[i] = fn(i); });
-    group.wait();
+    detail::forkJoin(pool, n, [&out, &fn](std::size_t i) {
+        out[i] = fn(i);
+    });
     return out;
 }
-
-/**
- * A static task graph: nodes are jobs, edges are happens-before
- * constraints (e.g. "measure the SLO for this workload" precedes
- * every sweep of that workload). run() executes every node exactly
- * once respecting the edges.
- *
- * Serial execution (null pool) is the deterministic reference order:
- * Kahn's algorithm breaking ties by lowest node id, i.e. submission
- * order among ready nodes. Parallel execution may interleave
- * arbitrarily — nodes therefore commit results to their own slots
- * like any other job. Cycles are detected up front and panic.
- */
-class JobGraph
-{
-  public:
-    using NodeId = std::size_t;
-
-    /** Add a node; returns its id (dense, in submission order). */
-    NodeId add(std::function<void()> fn);
-
-    /** Require @p before to finish before @p after starts. */
-    void precede(NodeId before, NodeId after);
-
-    /**
-     * Run the whole graph (blocking). Rethrows the lowest-id node
-     * exception after all nodes ran; a failed node does not cancel
-     * its successors (jobs are independent by contract — dependents
-     * must tolerate a missing-result slot if they can run at all).
-     * The graph can be run again (topology is reusable).
-     */
-    void run(ThreadPool *pool);
-
-    std::size_t size() const { return nodes_.size(); }
-
-  private:
-    struct Node {
-        std::function<void()> fn;
-        std::vector<NodeId> successors;
-        unsigned numPredecessors = 0;
-    };
-
-    void runSerial();
-    void runParallel(ThreadPool &pool);
-    /** Panics with the offending node id on a dependency cycle. */
-    void checkAcyclic() const;
-
-    std::vector<Node> nodes_;
-};
 
 } // namespace jord::par
 

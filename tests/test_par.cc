@@ -1,18 +1,17 @@
 /**
  * @file
  * Tests for the host-parallel run engine (src/par): pool lifecycle,
- * the submission-order commit contract, deterministic exception
- * propagation, nested fork-join deadlock freedom, the job graph, the
- * bench commit slots, and the end-to-end byte-identity guarantee the
- * CI parallel-determinism job rests on. This binary is also built
- * under -fsanitize=thread in CI, so the stress tests double as data-
- * race probes.
+ * orderedMap's index-order results, deterministic exception
+ * propagation on the serial and the pooled path, nested fork-join
+ * deadlock freedom, and the end-to-end byte-identity guarantee the CI
+ * parallel-determinism job rests on. This binary is also run under
+ * -fsanitize=thread in CI, so the stress tests double as data-race
+ * probes.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -21,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bench/common.hh"
 #include "cluster/cluster.hh"
 #include "par/par.hh"
 #include "workloads/sweep.hh"
@@ -35,7 +33,7 @@ namespace {
 void
 jitter(std::size_t i)
 {
-    // Deliberate wall-clock jitter so the pool's work-stealing paths
+    // Deliberate wall-clock jitter so workers and helping joins
     // actually interleave; it never reaches simulated state.
     // detlint: allow(D1, "test-only scheduling jitter, not sim state")
     std::this_thread::sleep_for(
@@ -59,7 +57,7 @@ TEST(Par, PoolRunsAllSubmittedTasks)
         EXPECT_EQ(pool.numThreads(), 4u);
         for (int i = 0; i < 200; ++i)
             pool.submit([&count] { ++count; });
-        // No explicit wait: the destructor must drain the queues.
+        // No explicit wait: the destructor must drain the deque.
     }
     EXPECT_EQ(count.load(), 200);
 }
@@ -118,102 +116,62 @@ TEST(Par, LowestIndexExceptionWins)
 
 TEST(Par, FailedJobDoesNotCancelOthers)
 {
-    par::ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    par::TaskGroup group(&pool);
-    for (int i = 0; i < 20; ++i)
-        group.run([&ran, i] {
+    // Both paths: the serial loop must keep going after a throw just
+    // like the pool does, and raise the error only at the join.
+    for (unsigned threads : {0u, 2u}) {
+        std::unique_ptr<par::ThreadPool> pool;
+        if (threads)
+            pool = std::make_unique<par::ThreadPool>(threads);
+        std::atomic<int> ran{0};
+        auto job = [&ran](std::size_t i) {
             if (i == 0)
                 throw std::runtime_error("first");
             ++ran;
-        });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 19);
+            return 0;
+        };
+        EXPECT_THROW(par::orderedMap<int>(pool.get(), 20, job),
+                     std::runtime_error);
+        EXPECT_EQ(ran.load(), 19) << threads << " threads";
+    }
 }
 
 TEST(Par, NestedSubmissionIsDeadlockFree)
 {
-    // Every pool thread blocks in an inner wait() at some point; the
-    // helping waiter is what keeps this from deadlocking.
+    // Three levels, like fig9's workload -> system -> load point: every
+    // pool thread blocks in an inner join at some point; the helping
+    // join is what keeps this from deadlocking.
     par::ThreadPool pool(2);
     std::vector<long> sums =
-        par::orderedMap<long>(&pool, 8, [&pool](std::size_t outer) {
-            std::vector<long> inner = par::orderedMap<long>(
-                &pool, 8, [outer](std::size_t i) {
-                    jitter(i);
-                    return static_cast<long>(outer * 100 + i);
+        par::orderedMap<long>(&pool, 4, [&pool](std::size_t outer) {
+            std::vector<long> mid = par::orderedMap<long>(
+                &pool, 3, [&pool, outer](std::size_t m) {
+                    std::vector<long> inner = par::orderedMap<long>(
+                        &pool, 8, [outer, m](std::size_t i) {
+                            jitter(i);
+                            return static_cast<long>(outer * 100 +
+                                                     m * 10 + i);
+                        });
+                    return std::accumulate(inner.begin(), inner.end(),
+                                           0L);
                 });
-            return std::accumulate(inner.begin(), inner.end(), 0L);
+            return std::accumulate(mid.begin(), mid.end(), 0L);
         });
+    ASSERT_EQ(sums.size(), 4u);
+    // 24 leaves per outer job: 3 mid x 8 inner, each m * 10 + i summing
+    // to 8 * (0 + 10 + 20) + 3 * 28.
     for (std::size_t outer = 0; outer < sums.size(); ++outer)
-        EXPECT_EQ(sums[outer], static_cast<long>(outer * 800 + 28));
+        EXPECT_EQ(sums[outer], static_cast<long>(outer * 2400 + 324));
 }
 
 TEST(Par, StressManyMoreJobsThanThreads)
 {
     par::ThreadPool pool(16); // intentionally more than host cores
     std::atomic<long> sum{0};
-    par::TaskGroup group(&pool);
-    for (long i = 0; i < 2000; ++i)
-        group.run([&sum, i] { sum += i; });
-    group.wait();
+    par::orderedMap<int>(&pool, 2000, [&sum](std::size_t i) {
+        sum += static_cast<long>(i);
+        return 0;
+    });
     EXPECT_EQ(sum.load(), 2000L * 1999 / 2);
-}
-
-TEST(Par, JobGraphRespectsEdges)
-{
-    for (unsigned threads : {0u, 4u}) {
-        std::unique_ptr<par::ThreadPool> pool;
-        if (threads)
-            pool = std::make_unique<par::ThreadPool>(threads);
-        // Diamond: a -> {b, c} -> d.
-        std::mutex mu;
-        std::vector<char> order;
-        par::JobGraph graph;
-        auto record = [&](char c) {
-            std::lock_guard<std::mutex> lk(mu);
-            order.push_back(c);
-        };
-        auto a = graph.add([&] { record('a'); });
-        auto b = graph.add([&] {
-            jitter(5);
-            record('b');
-        });
-        auto c = graph.add([&] { record('c'); });
-        auto d = graph.add([&] { record('d'); });
-        graph.precede(a, b);
-        graph.precede(a, c);
-        graph.precede(b, d);
-        graph.precede(c, d);
-        graph.run(pool.get());
-        ASSERT_EQ(order.size(), 4u);
-        EXPECT_EQ(order.front(), 'a');
-        EXPECT_EQ(order.back(), 'd');
-        if (!threads) {
-            // Serial reference order: lowest ready id first.
-            EXPECT_EQ(std::string(order.begin(), order.end()), "abcd");
-        }
-    }
-}
-
-TEST(Par, JobGraphCyclePanics)
-{
-    par::JobGraph graph;
-    auto a = graph.add([] {});
-    auto b = graph.add([] {});
-    graph.precede(a, b);
-    graph.precede(b, a);
-    EXPECT_DEATH(graph.run(nullptr), "cycle");
-}
-
-TEST(Par, SlotsPanicOnMisuse)
-{
-    bench::Slots<int> slots(2);
-    slots.set(0, 7);
-    EXPECT_EQ(slots.at(0), 7);
-    EXPECT_DEATH(slots.set(0, 8), "twice");
-    EXPECT_DEATH(slots.at(1), "before commit");
-    EXPECT_DEATH(slots.set(2, 1), "out of range");
 }
 
 TEST(Par, FinalizeSweepIsFillOrderIndependent)

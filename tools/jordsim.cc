@@ -100,7 +100,7 @@ struct Options {
      * other mode rejects them instead of silently ignoring them. */
     std::vector<std::string> workerOnlyFlags;
     std::vector<std::string> clusterOnlyFlags;
-    unsigned jobs = par::defaultJobs();
+    unsigned jobs = 1;
     std::string jsonOut;
     std::string traceOut;
     std::string metricsOut;
@@ -216,8 +216,7 @@ printUsage()
         "  --jobs N            fan independent runs (sweep points,\n"
         "                      seeds) across N host threads; 0 = one\n"
         "                      per hardware thread. Output is byte-\n"
-        "                      identical to --jobs 1. (default:\n"
-        "                      $JORD_JOBS or 1)\n"
+        "                      identical to --jobs 1. (default 1)\n"
         "\n"
         "machine:\n"
         "  --cores N           total cores"
