@@ -59,8 +59,7 @@ main(int argc, char **argv)
 {
     bench::BenchArgs args =
         bench::BenchArgs::parse(argc, argv, "ablation_runtime");
-    std::uint64_t requests = args.quick ? 1500 : 4000;
-    requests = sim::env::getU64("JORD_ABLATION_REQUESTS", requests);
+    const std::uint64_t requests = args.quick ? 1500 : 4000;
     std::unique_ptr<par::ThreadPool> pool = args.makePool();
 
     workloads::Workload w = workloads::makeHipster();

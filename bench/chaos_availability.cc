@@ -27,8 +27,6 @@
  * Flags: --quick shrinks the sweep for CI smoke runs; --jobs N fans
  * the points host-parallel (byte-identical to --jobs 1); --json PATH
  * overrides where BENCH_chaos.json lands.
- * Environment knobs: JORD_CHAOS_REQUESTS overrides calibration
- * requests per point.
  */
 
 #include <cstdlib>
@@ -83,7 +81,6 @@ main(int argc, char **argv)
 
     ClusterConfig base;
     base.calibration.requests = args.quick ? 3000 : 12000;
-    base.calibration.requests = sim::env::getU64("JORD_CHAOS_REQUESTS", base.calibration.requests);
     base.numServers = 8;
     base.traffic.durationUs = args.quick ? 20000.0 : 60000.0;
     base.serverQueueCap = 256;

@@ -29,8 +29,7 @@ main(int argc, char **argv)
 {
     bench::BenchArgs args =
         bench::BenchArgs::parse(argc, argv, "coldstart_compare");
-    std::uint64_t requests = args.quick ? 2000 : 6000;
-    requests = sim::env::getU64("JORD_COLDSTART_REQUESTS", requests);
+    const std::uint64_t requests = args.quick ? 2000 : 6000;
 
     bench::banner("Cold start: first-burst latency, Jord vs NightCore");
 

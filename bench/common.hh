@@ -22,7 +22,6 @@
 #include "par/par.hh"
 #include "privlib/privlib.hh"
 #include "prof/profile_json.hh"
-#include "sim/env.hh"
 #include "sim/logging.hh"
 #include "stats/sampler.hh"
 #include "uat/btree_table.hh"

@@ -19,7 +19,6 @@
  * PATH writes the machine-comparable summary (goodput, good fraction,
  * good P99 per sweep point) that CI byte-compares with the committed
  * BENCH_fault_availability.json.
- * Environment knobs: JORD_FAULT_REQUESTS overrides requests per point.
  */
 
 #include <cstdlib>
@@ -117,7 +116,6 @@ main(int argc, char **argv)
 
     PointConfig pc;
     pc.requests = quick ? 3000 : 12000;
-    pc.requests = sim::env::getU64("JORD_FAULT_REQUESTS", pc.requests);
 
     std::vector<double> crash_rates =
         quick ? std::vector<double>{0, 0.01, 0.05}

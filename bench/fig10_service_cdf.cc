@@ -24,8 +24,7 @@ main(int argc, char **argv)
 {
     bench::BenchArgs args =
         bench::BenchArgs::parse(argc, argv, "fig10");
-    std::uint64_t requests = args.quick ? 5000 : 20000;
-    requests = sim::env::getU64("JORD_FIG10_REQUESTS", requests);
+    const std::uint64_t requests = args.quick ? 5000 : 20000;
 
     bench::banner("Figure 10: CDF of function service time (Jord, "
                   "low load)");

@@ -45,8 +45,7 @@ rowById(const trace::BreakdownReport &report, runtime::FunctionId fn)
 int
 main()
 {
-    std::uint64_t requests = 20000;
-    requests = sim::env::getU64("JORD_FIG11_REQUESTS", requests);
+    const std::uint64_t requests = 20000;
 
     // Moderate load (~35% of each workload's saturation) so queueing
     // does not swamp the intrinsic overheads, mirroring the paper's

@@ -48,8 +48,7 @@ main(int argc, char **argv)
 {
     bench::BenchArgs args =
         bench::BenchArgs::parse(argc, argv, "fig12");
-    std::uint64_t requests = args.quick ? 1500 : 6000;
-    requests = sim::env::getU64("JORD_FIG12_REQUESTS", requests);
+    const std::uint64_t requests = args.quick ? 1500 : 6000;
     std::unique_ptr<par::ThreadPool> pool = args.makePool();
 
     bench::banner("Figure 12: VLB-size sensitivity "

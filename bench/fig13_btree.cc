@@ -90,8 +90,7 @@ main(int argc, char **argv)
 {
     bench::BenchArgs args =
         bench::BenchArgs::parse(argc, argv, "fig13");
-    std::uint64_t requests = args.quick ? 2500 : 10000;
-    requests = sim::env::getU64("JORD_FIG13_REQUESTS", requests);
+    const std::uint64_t requests = args.quick ? 2500 : 10000;
     std::unique_ptr<par::ThreadPool> pool = args.makePool();
 
     workloads::Workload w = workloads::makeHotel();

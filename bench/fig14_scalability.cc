@@ -54,8 +54,7 @@ main(int argc, char **argv)
 {
     bench::BenchArgs args =
         bench::BenchArgs::parse(argc, argv, "fig14");
-    std::uint64_t requests = args.quick ? 3000 : 12000;
-    requests = sim::env::getU64("JORD_FIG14_REQUESTS", requests);
+    const std::uint64_t requests = args.quick ? 3000 : 12000;
     std::unique_ptr<par::ThreadPool> pool = args.makePool();
 
     const Scale scales[] = {

@@ -13,9 +13,6 @@
  * workload's job measures its SLO, then fans its three system sweeps,
  * and every sweep fans its load points — with output byte-identical
  * to --jobs 1 (the CI parallel-determinism gate).
- *
- * Environment knobs: JORD_FIG9_REQUESTS (default 20000) trades run time
- * for P99 fidelity.
  */
 
 #include <cstdlib>
@@ -38,7 +35,6 @@ main(int argc, char **argv)
 
     SweepConfig cfg;
     cfg.requestsPerPoint = args.quick ? 2000 : 8000;
-    cfg.requestsPerPoint = sim::env::getU64("JORD_FIG9_REQUESTS", cfg.requestsPerPoint);
     std::unique_ptr<par::ThreadPool> pool = args.makePool();
     cfg.pool = pool.get();
 

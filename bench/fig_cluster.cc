@@ -21,9 +21,6 @@
  * Host-parallel: calibration runs and fleet points fan across --jobs
  * threads; each fleet point is its own serial DES, so output is
  * byte-identical to --jobs 1 (the CI parallel-determinism gate).
- *
- * Environment knobs: JORD_FIG_CLUSTER_REQUESTS (default 12000, quick
- * 3000) trades calibration time for quantile fidelity.
  */
 
 #include <cstdlib>
@@ -52,7 +49,6 @@ main(int argc, char **argv)
 
     ClusterConfig base;
     base.calibration.requests = args.quick ? 3000 : 12000;
-    base.calibration.requests = sim::env::getU64("JORD_FIG_CLUSTER_REQUESTS", base.calibration.requests);
     base.traffic.durationUs = args.quick ? 20000.0 : 60000.0;
     base.serverQueueCap = 256;
 

@@ -7,8 +7,49 @@
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "trace/metrics.hh"
+#include "workloads/sweep.hh"
 
 namespace jord::cluster {
+
+namespace {
+
+// Autoscaling controller: hysteresis via distinct high/low thresholds
+// plus a cooldown of control intervals.
+constexpr double kControlIntervalUs = 500.0;
+/** Scale out when fleet queue occupancy (outstanding / fleet
+ * concurrency) exceeds this... */
+constexpr double kQueueHigh = 0.75;
+/** ...and scale in only when it falls below this. */
+constexpr double kQueueLow = 0.25;
+/** Scale out when the fraction of the last interval's completions that
+ * missed their SLO exceeds this (SLO-burn trigger). */
+constexpr double kSloBurnHigh = 0.5;
+/** Control intervals to wait after any scaling action. */
+constexpr unsigned kCooldownIntervals = 4;
+
+/** Extra service time when no warm PD slot is available. */
+constexpr double kColdStartUs = 200.0;
+/** How long a slot stays warm after its last use. */
+constexpr double kKeepAliveUs = 5000.0;
+
+/** Control ticks an ejected server stays out before re-admission (the
+ * base of the doubling probation backoff). */
+constexpr unsigned kProbationIntervals = 4;
+/** Minimum interval completions before a server's P99 counts. */
+constexpr unsigned kEjectMinSamples = 16;
+/** Attempts per request beyond the first dispatch. */
+constexpr unsigned kRetryMax = 3;
+/** Heartbeat period; the LB stops routing to a server after
+ * kMissedHeartbeats consecutive missed beats. */
+constexpr double kHeartbeatUs = 500.0;
+constexpr unsigned kMissedHeartbeats = 3;
+/** How long an open circuit breaker sheds its arrivals. */
+constexpr double kBreakerCooldownUs = 2000.0;
+
+/** Leading fraction of the duration excluded from measurement. */
+constexpr double kWarmupFrac = 0.1;
+
+} // namespace
 
 ClusterSim::ClusterSim(const ClusterConfig &cfg,
                        const ServerModel &model)
@@ -35,12 +76,12 @@ ClusterSim::ClusterSim(const ClusterConfig &cfg,
             sim::fatal("autoscale minServers %u > maxServers %u",
                        cfg_.autoscale.minServers, maxServers_);
     }
-    sloUs_ = cfg_.sloUs > 0 ? cfg_.sloUs : 10.0 * model_.meanLatencyUs;
+    sloUs_ = cfg_.sloUs > 0
+                 ? cfg_.sloUs
+                 : workloads::kSloMultiplier * model_.meanLatencyUs;
     warmupTicks_ = static_cast<sim::Tick>(
-        static_cast<double>(source_.durationTicks()) *
-        cfg_.warmupFrac);
-    keepAliveTicks_ =
-        sim::usToCycles(cfg_.coldStart.keepAliveUs, freqGhz_);
+        static_cast<double>(source_.durationTicks()) * kWarmupFrac);
+    keepAliveTicks_ = sim::usToCycles(kKeepAliveUs, freqGhz_);
 
     injector_.configure(cfg_.faultPlan, cfg_.seed);
     if (injector_.enabled()) {
@@ -58,8 +99,7 @@ ClusterSim::ClusterSim(const ClusterConfig &cfg,
     failDetectTicks_ = sim::usToCycles(sloUs_, freqGhz_);
     if (res_.hedgeUs > 0)
         hedgeTicks_ = sim::usToCycles(res_.hedgeUs, freqGhz_);
-    breakerCooldownTicks_ =
-        sim::usToCycles(res_.breakerCooldownUs, freqGhz_);
+    breakerCooldownTicks_ = sim::usToCycles(kBreakerCooldownUs, freqGhz_);
     useView_ = res_.healthCheck || res_.outlierEject;
 
     servers_.resize(maxServers_);
@@ -349,7 +389,7 @@ ClusterSim::tryStart(std::uint32_t s)
         if (!pool.empty())
             pool.pop_front();
         else {
-            cold_us = cfg_.coldStart.coldStartUs;
+            cold_us = kColdStartUs;
             ++server.coldStarts;
         }
         double service_us =
@@ -452,7 +492,7 @@ ClusterSim::resolveLoser(std::uint32_t r, unsigned copy)
     // server that held it: the request sat there at least until the
     // hedge finished elsewhere. Without this right-censored sample a
     // slow server's worst completions are exactly the ones hedging
-    // cancels, and the detector starves below ejectMinSamples.
+    // cancels, and the detector starves below kEjectMinSamples.
     if (res_.outlierEject && copy == 0 && req.attempt == 0 &&
         (c.state == CopyQueued || c.state == CopyRunning))
         servers_[c.server].intervalUs.record(sim::cyclesToUs(
@@ -555,7 +595,7 @@ ClusterSim::copyFailed(std::uint32_t r, unsigned copy)
     }
     // Retry under the fleet-wide budget, or write the request off.
     bool retry =
-        res_.retryBudgetFrac > 0 && req.attempt < res_.retryMax &&
+        res_.retryBudgetFrac > 0 && req.attempt < kRetryMax &&
         static_cast<double>(retries_ + 1) <=
             res_.retryBudgetFrac * static_cast<double>(generated_);
     if (retry) {
@@ -614,7 +654,7 @@ ClusterSim::hedgeFire(std::uint32_t r)
     for (std::uint32_t s : base) {
         if (s == primary)
             continue;
-        // Warm targets only: a cold-started hedge pays coldStartUs,
+        // Warm targets only: a cold-started hedge pays kColdStartUs,
         // which dwarfs the SLO — it can never beat the primary it is
         // meant to rescue, and its executor time is pure added load.
         // Expiries are ascending, so the back entry tells us whether
@@ -752,9 +792,9 @@ ClusterSim::heartbeatTick()
     for (std::uint32_t s = 0; s < maxServers_; ++s) {
         Server &server = servers_[s];
         if (server.down) {
-            if (server.missedBeats < res_.missedHeartbeats)
+            if (server.missedBeats < kMissedHeartbeats)
                 ++server.missedBeats;
-            if (server.missedBeats >= res_.missedHeartbeats)
+            if (server.missedBeats >= kMissedHeartbeats)
                 healthy_[s] = 0;
         } else {
             server.missedBeats = 0;
@@ -763,7 +803,7 @@ ClusterSim::heartbeatTick()
     }
     if (!arrivalsDone_ || totalOutstanding_ > 0)
         events_.scheduleAfter(
-            sim::usToCycles(res_.heartbeatUs, freqGhz_),
+            sim::usToCycles(kHeartbeatUs, freqGhz_),
             [this] { heartbeatTick(); });
 }
 
@@ -782,7 +822,7 @@ ClusterSim::outlierTick()
             continue;
         }
         if (!server.down &&
-            server.intervalUs.count() >= res_.ejectMinSamples)
+            server.intervalUs.count() >= kEjectMinSamples)
             p99s.push_back(server.intervalUs.p99());
     }
     if (p99s.size() >= 2) {
@@ -792,7 +832,7 @@ ClusterSim::outlierTick()
         for (std::uint32_t s : active_) {
             Server &server = servers_[s];
             if (server.ejected || server.down ||
-                server.intervalUs.count() < res_.ejectMinSamples)
+                server.intervalUs.count() < kEjectMinSamples)
                 continue;
             if (server.intervalUs.p99() > res_.ejectMult * median) {
                 // Probation backs off exponentially with consecutive
@@ -800,7 +840,7 @@ ClusterSim::outlierTick()
                 // otherwise re-pollute the fleet for a full detection
                 // interval on every re-admission.
                 server.ejected = true;
-                server.probation = res_.probationIntervals
+                server.probation = kProbationIntervals
                                    << std::min(server.ejectStreak, 6u);
                 ++server.ejectStreak;
                 ++ejections_;
@@ -897,8 +937,7 @@ ClusterSim::controlTick()
                           : 0.0;
         if (cooldown_ > 0) {
             --cooldown_;
-        } else if ((occupancy > cfg_.autoscale.queueHigh ||
-                    burn > cfg_.autoscale.sloBurnHigh) &&
+        } else if ((occupancy > kQueueHigh || burn > kSloBurnHigh) &&
                    active_.size() < maxServers_) {
             // Scale out: reuse the lowest-index parked server (a
             // draining one is re-enlisted without a power cycle).
@@ -914,15 +953,14 @@ ClusterSim::controlTick()
                                s);
                 break;
             }
-            cooldown_ = cfg_.autoscale.cooldownIntervals;
+            cooldown_ = kCooldownIntervals;
             recordScaleEvent();
-        } else if (occupancy < cfg_.autoscale.queueLow &&
-                   burn <= cfg_.autoscale.sloBurnHigh &&
+        } else if (occupancy < kQueueLow && burn <= kSloBurnHigh &&
                    active_.size() > cfg_.autoscale.minServers) {
             // Scale in: drain the highest-index active server; it
             // powers off once its outstanding requests finish.
             beginDrain(active_.back());
-            cooldown_ = cfg_.autoscale.cooldownIntervals;
+            cooldown_ = kCooldownIntervals;
             recordScaleEvent();
         }
     }
@@ -953,8 +991,7 @@ ClusterSim::controlTick()
 
     if (!arrivalsDone_ || totalOutstanding_ > 0)
         events_.scheduleAfter(
-            sim::usToCycles(cfg_.autoscale.controlIntervalUs,
-                            freqGhz_),
+            sim::usToCycles(kControlIntervalUs, freqGhz_),
             [this] { controlTick(); });
 }
 
@@ -976,12 +1013,11 @@ ClusterSim::run()
     if (cfg_.autoscale.enabled || cfg_.coldStart.prewarm > 0 ||
         res_.outlierEject)
         events_.scheduleAfter(
-            sim::usToCycles(cfg_.autoscale.controlIntervalUs,
-                            freqGhz_),
+            sim::usToCycles(kControlIntervalUs, freqGhz_),
             [this] { controlTick(); });
     if (res_.healthCheck)
         events_.scheduleAfter(
-            sim::usToCycles(res_.heartbeatUs, freqGhz_),
+            sim::usToCycles(kHeartbeatUs, freqGhz_),
             [this] { heartbeatTick(); });
     scheduleFaultEvents();
     if (obs_) {

@@ -61,32 +61,18 @@ struct ServerSnapshot;
 
 namespace jord::cluster {
 
-/** Autoscaling-controller policy (hysteresis via distinct high/low
- * thresholds plus a cooldown of control intervals). */
+/** Autoscaling-controller policy; its thresholds, control interval
+ * and cooldown are constants in cluster.cc. */
 struct AutoscalePolicy {
     bool enabled = false;
     unsigned minServers = 1;
     /** 0 = the cluster's numServers. */
     unsigned maxServers = 0;
-    double controlIntervalUs = 500.0;
-    /** Scale out when fleet queue occupancy (outstanding / fleet
-     * concurrency) exceeds this... */
-    double queueHigh = 0.75;
-    /** ...and scale in only when it falls below this. */
-    double queueLow = 0.25;
-    /** Scale out when the fraction of the last interval's completions
-     * that missed their SLO exceeds this (SLO-burn trigger). */
-    double sloBurnHigh = 0.5;
-    /** Control intervals to wait after any scaling action. */
-    unsigned cooldownIntervals = 4;
 };
 
-/** Warm PD-pool / cold-start model (per server, per tenant). */
+/** Warm PD-pool / cold-start model (per server, per tenant); the
+ * cold-start cost and keep-alive window are constants in cluster.cc. */
 struct ColdStartPolicy {
-    /** Extra service time when no warm PD slot is available. */
-    double coldStartUs = 200.0;
-    /** How long a slot stays warm after its last use. */
-    double keepAliveUs = 5000.0;
     /** Slots the controller prewarms per (server, tenant) at every
      * control tick (0 = no prewarming; pools then only grow through
      * completions). */
@@ -110,33 +96,25 @@ struct ResilienceConfig {
     double hedgeBudgetFrac = 0.1;
     /** LB outlier ejection: at every control tick, eject active
      * servers whose interval P99 exceeds ejectMult x the fleet median.
-     * Re-admission after probationIntervals ticks, doubling with each
-     * consecutive re-ejection so a persistently slow server spends
-     * vanishing time in the fleet. */
+     * Re-admission after a probation of control ticks, doubling with
+     * each consecutive re-ejection so a persistently slow server
+     * spends vanishing time in the fleet. */
     bool outlierEject = false;
     double ejectMult = 3.0;
-    unsigned probationIntervals = 4;
-    /** Minimum interval completions before a server's P99 counts. */
-    unsigned ejectMinSamples = 16;
     /** Fleet-wide retry budget: failed requests are retried only while
      * total retries stay under this fraction of generated primaries,
      * so a retry storm cannot amplify overload (0 = retries off). */
     double retryBudgetFrac = 0;
-    /** Attempts per request beyond the first dispatch. */
-    unsigned retryMax = 3;
     /** Heartbeat health checking: the LB stops routing to a server
-     * after missedHeartbeats consecutive missed beats and re-admits it
-     * on the first beat after restart. Without it the LB keeps
-     * dispatching to dead servers and loses those requests. */
+     * after consecutive missed beats and re-admits it on the first
+     * beat after restart. Without it the LB keeps dispatching to dead
+     * servers and loses those requests. */
     bool healthCheck = false;
-    double heartbeatUs = 500.0;
-    unsigned missedHeartbeats = 3;
     /** Per-(server,tenant) circuit breaker: breakerThreshold
-     * consecutive failures open the breaker for breakerCooldownUs;
-     * arrivals routed to an open breaker are shed at admission. */
+     * consecutive failures open the breaker for a cooldown; arrivals
+     * routed to an open breaker are shed at admission. */
     bool breaker = false;
     unsigned breakerThreshold = 8;
-    double breakerCooldownUs = 2000.0;
 
     bool
     any() const
@@ -166,11 +144,9 @@ struct ClusterConfig {
      * fleet-level mirror of WorkerConfig::shedCap (0 = never shed). */
     std::uint32_t serverQueueCap = 0;
     /** Fleet SLO in µs; 0 derives the §5 rule from calibration
-     * (10x the low-load mean latency). Tenants scale it by their
-     * sloMultiplier. */
+     * (workloads::kSloMultiplier x the low-load mean latency). Tenants
+     * scale it by their sloMultiplier. */
     double sloUs = 0;
-    /** Leading fraction of the duration excluded from measurement. */
-    double warmupFrac = 0.1;
     std::uint64_t seed = 42;
 };
 
@@ -267,6 +243,13 @@ class ClusterSim
 
     /** The fleet's event queue (bench instrumentation: events/sec). */
     sim::EventQueue &eventQueue() { return events_; }
+
+    /** The fleet SLO in µs: ClusterConfig::sloUs, or the §5 rule over
+     * the calibrated mean latency when that is 0. */
+    double sloUs() const { return sloUs_; }
+    /** Servers the fleet can ever hold: numServers, or the
+     * autoscaler's ceiling when that is higher. */
+    unsigned maxServers() const { return maxServers_; }
 
     ClusterResult run();
 

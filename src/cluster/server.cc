@@ -8,6 +8,18 @@
 
 namespace jord::cluster {
 
+namespace {
+
+/** Load for the latency-distribution run (MRPS). */
+constexpr double kLowLoadMrps = 0.05;
+/** Offered load for the saturation run (MRPS); far beyond any single
+ * server's capacity so achieved == capacity. */
+constexpr double kSaturationMrps = 50.0;
+/** Quantile-table resolution. */
+constexpr std::size_t kCdfPoints = 64;
+
+} // namespace
+
 double
 ServerModel::drawServiceUs(sim::Rng &rng) const
 {
@@ -48,14 +60,14 @@ calibrateServer(const workloads::Workload &workload,
         runtime::RunResult result;
         unsigned numExecutors = 0;
     };
-    const double loads[2] = {cal.lowLoadMrps, cal.saturationMrps};
+    const double loads[2] = {kLowLoadMrps, kSaturationMrps};
     std::vector<CalRun> runs = par::orderedMap<CalRun>(
         pool, std::size_t{2},
         [&](std::size_t i) {
             runtime::WorkerServer server(worker, workload.registry);
             CalRun run;
-            run.result = server.run(loads[i], cal.requests,
-                                    workload.mix, cal.warmupFrac);
+            run.result =
+                server.run(loads[i], cal.requests, workload.mix);
             run.numExecutors = server.numExecutors();
             return run;
         });
@@ -65,11 +77,11 @@ calibrateServer(const workloads::Workload &workload,
     if (low.latencyUs.empty())
         sim::fatal("calibration low-load run completed no requests "
                    "(%g MRPS, %llu requests)",
-                   cal.lowLoadMrps,
+                   kLowLoadMrps,
                    static_cast<unsigned long long>(cal.requests));
 
     ServerModel model;
-    model.latencyQuantilesUs = low.latencyUs.cdf(cal.cdfPoints);
+    model.latencyQuantilesUs = low.latencyUs.cdf(kCdfPoints);
     model.meanLatencyUs = low.latencyUs.mean();
     model.capacityMrps = sat.achievedMrps;
     if (model.capacityMrps <= 0)

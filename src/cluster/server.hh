@@ -63,14 +63,6 @@ struct ServerModel {
 struct CalibrationConfig {
     /** External requests per calibration run. */
     std::uint64_t requests = 20000;
-    double warmupFrac = 0.2;
-    /** Load for the latency-distribution run (MRPS). */
-    double lowLoadMrps = 0.05;
-    /** Offered load for the saturation run (MRPS); far beyond any
-     * single server's capacity so achieved == capacity. */
-    double saturationMrps = 50.0;
-    /** Quantile-table resolution. */
-    std::size_t cdfPoints = 64;
 };
 
 /**

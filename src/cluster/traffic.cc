@@ -21,6 +21,10 @@ trafficShapeName(TrafficShape shape)
 
 namespace {
 
+/** Distinct sessions generating each tenant's requests (session ids
+ * feed the LB's locality/affinity policy). */
+constexpr std::uint64_t kSessions = 4096;
+
 TrafficShape
 parseShape(const std::string &name)
 {
@@ -240,8 +244,7 @@ TrafficSource::next()
     arrival.tenant = static_cast<std::uint32_t>(best);
     arrival.session =
         (static_cast<std::uint64_t>(best) << 32) |
-        stream.rng.uniformInt(
-            static_cast<std::uint64_t>(stream.spec.sessions));
+        stream.rng.uniformInt(kSessions);
     advance(stream);
     return arrival;
 }

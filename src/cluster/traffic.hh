@@ -52,9 +52,6 @@ struct TenantSpec {
     /** This tenant's own rate shape (Mix tenants differ; for the
      * non-Mix shapes the single implicit tenant carries the shape). */
     TrafficShape shape = TrafficShape::Constant;
-    /** Distinct sessions generating this tenant's requests (session
-     * ids feed the LB's locality/affinity policy). */
-    std::uint32_t sessions = 4096;
 };
 
 /** Traffic model configuration. */

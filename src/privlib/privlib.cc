@@ -8,6 +8,43 @@
 
 namespace jord::privlib {
 
+/**
+ * Software cycle budgets for PrivLib operations.
+ *
+ * Each PrivLib call is modelled as: uatg gate entry + mandatory policy
+ * checks (instruction execution, scaled by the machine profile's IPC
+ * factor) plus the real memory accesses the operation performs (free
+ * list atomics, VTE reads/writes, completion fences), which are charged
+ * through the coherence engine. The constants below are calibrated so
+ * the Table 4 simulator column emerges in the warm single-core case and
+ * the FPGA column follows from the IPC penalty alone (§6.2). The
+ * budgets are cycles at the simulator's IPC.
+ */
+namespace cost {
+
+/** uatg gate entry + CFI policy-check prologue, on every call. */
+constexpr sim::Cycles kGateEntry = 8;
+
+constexpr sim::Cycles kMmapSw = 48;     ///< size-class calc, list bookkeeping
+constexpr sim::Cycles kMunmapSw = 45;   ///< teardown bookkeeping
+constexpr sim::Cycles kMprotectSw = 54; ///< permission recompute
+constexpr sim::Cycles kPmoveSw = 28;    ///< transfer bookkeeping
+constexpr sim::Cycles kPcopySw = 26;    ///< duplicate bookkeeping
+
+constexpr sim::Cycles kCgetSw = 30;   ///< PD metadata init
+constexpr sim::Cycles kCputSw = 40;   ///< PD teardown checks
+constexpr sim::Cycles kCcallSw = 30;  ///< register save + load
+constexpr sim::Cycles kCenterSw = 28; ///< register reload
+constexpr sim::Cycles kCexitSw = 26;  ///< register save
+
+/** Pipeline refill after the control transfer of a PD switch. */
+constexpr sim::Cycles kSwitchPipeline = 6;
+
+/** Near-free cost charged when isolation is bypassed (Jord_NI). */
+constexpr sim::Cycles kBypass = 2;
+
+} // namespace cost
+
 using sim::Addr;
 using sim::Cycles;
 using uat::Fault;
@@ -290,7 +327,7 @@ PrivLib::mmapFor(unsigned core, PdId pd, std::uint64_t len, Perm prot,
     if (currentPd(core) != kRootPd) {
         // Only the trusted runtime may place VMAs into foreign PDs.
         res.fault = Fault::NoPermission;
-        res.latency = costs_.gateEntry;
+        res.latency = cost::kGateEntry;
         account(PrivOp::Mmap, res.latency);
         return res;
     }
@@ -302,7 +339,7 @@ PrivLib::mmapInternal(unsigned core, PdId pd, std::uint64_t len,
                       Perm prot, bool priv, bool global, PrivOp op)
 {
     PrivResult res;
-    res.latency = costs_.gateEntry + sw(costs_.mmapSw);
+    res.latency = cost::kGateEntry + sw(cost::kMmapSw);
 
     auto sc = uat::VaEncoding::classForSize(len);
     if (len == 0 || !sc || !pdValid(pd)) {
@@ -446,7 +483,7 @@ PrivResult
 PrivLib::munmap(unsigned core, Addr va, std::uint64_t len)
 {
     PrivResult res;
-    res.latency = costs_.gateEntry + sw(costs_.munmapSw);
+    res.latency = cost::kGateEntry + sw(cost::kMunmapSw);
     PdId pd = currentPd(core);
 
     Vte *vte = vteForPolicy(core, va, pd, res);
@@ -503,11 +540,11 @@ PrivLib::mprotect(unsigned core, Addr va, std::uint64_t len, Perm prot)
     PrivResult res;
     if (bypass_) {
         res.ok = true;
-        res.latency = costs_.bypass;
+        res.latency = cost::kBypass;
         account(PrivOp::Mprotect, res.latency);
         return res;
     }
-    res.latency = costs_.gateEntry + sw(costs_.mprotectSw);
+    res.latency = cost::kGateEntry + sw(cost::kMprotectSw);
     PdId pd = currentPd(core);
 
     Vte *vte = vteForPolicy(core, va, pd, res);
@@ -555,11 +592,11 @@ PrivLib::pmove(unsigned core, Addr va, PdId dst, Perm prot)
     PrivResult res;
     if (bypass_) {
         res.ok = true;
-        res.latency = costs_.bypass;
+        res.latency = cost::kBypass;
         account(PrivOp::Pmove, res.latency);
         return res;
     }
-    res.latency = costs_.gateEntry + sw(costs_.pmoveSw);
+    res.latency = cost::kGateEntry + sw(cost::kPmoveSw);
     PdId src = currentPd(core);
 
     if (!pdValid(dst)) {
@@ -601,11 +638,11 @@ PrivLib::pmoveBetween(unsigned core, Addr va, PdId src, PdId dst,
     PrivResult res;
     if (bypass_) {
         res.ok = true;
-        res.latency = costs_.bypass;
+        res.latency = cost::kBypass;
         account(PrivOp::Pmove, res.latency);
         return res;
     }
-    res.latency = costs_.gateEntry + sw(costs_.pmoveSw);
+    res.latency = cost::kGateEntry + sw(cost::kPmoveSw);
 
     if (currentPd(core) != kRootPd || !pdValid(src) || !pdValid(dst)) {
         res.fault = Fault::NoPermission;
@@ -640,11 +677,11 @@ PrivLib::pcopy(unsigned core, Addr va, PdId dst, Perm prot)
     PrivResult res;
     if (bypass_) {
         res.ok = true;
-        res.latency = costs_.bypass;
+        res.latency = cost::kBypass;
         account(PrivOp::Pcopy, res.latency);
         return res;
     }
-    res.latency = costs_.gateEntry + sw(costs_.pcopySw);
+    res.latency = cost::kGateEntry + sw(cost::kPcopySw);
     PdId src = currentPd(core);
 
     if (!pdValid(dst)) {
@@ -685,7 +722,7 @@ PrivResult
 PrivLib::cget(unsigned core)
 {
     PrivResult res;
-    res.latency = costs_.gateEntry + sw(costs_.cgetSw);
+    res.latency = cost::kGateEntry + sw(cost::kCgetSw);
     std::uint64_t raw = 0;
     if (!listPop(core, pdList_, raw, res.latency)) {
         res.fault = Fault::NoPermission; // PD ids exhausted
@@ -710,7 +747,7 @@ PrivResult
 PrivLib::cput(unsigned core, PdId pd)
 {
     PrivResult res;
-    res.latency = costs_.gateEntry + sw(costs_.cputSw);
+    res.latency = cost::kGateEntry + sw(cost::kCputSw);
     PdId caller = currentPd(core);
 
     if (!pdValid(pd) || pd == kRootPd || pd == caller ||
@@ -742,8 +779,8 @@ PrivResult
 PrivLib::ccall(unsigned core, PdId pd)
 {
     PrivResult res;
-    res.latency = costs_.gateEntry + sw(costs_.ccallSw) +
-                  costs_.switchPipeline;
+    res.latency = cost::kGateEntry + sw(cost::kCcallSw) +
+                  cost::kSwitchPipeline;
     PdId caller = currentPd(core);
 
     if (!pdValid(pd) ||
@@ -768,8 +805,8 @@ PrivResult
 PrivLib::center(unsigned core, PdId pd)
 {
     PrivResult res;
-    res.latency = costs_.gateEntry + sw(costs_.centerSw) +
-                  costs_.switchPipeline;
+    res.latency = cost::kGateEntry + sw(cost::kCenterSw) +
+                  cost::kSwitchPipeline;
     PdId caller = currentPd(core);
 
     if (!pdValid(pd) ||
@@ -794,8 +831,8 @@ PrivResult
 PrivLib::cexit(unsigned core)
 {
     PrivResult res;
-    res.latency = costs_.gateEntry + sw(costs_.cexitSw) +
-                  costs_.switchPipeline;
+    res.latency = cost::kGateEntry + sw(cost::kCexitSw) +
+                  cost::kSwitchPipeline;
     if (domainStack_[core].empty()) {
         res.fault = Fault::NoPermission;
         account(PrivOp::Cexit, res.latency);

@@ -25,7 +25,6 @@
 
 #include "mem/coherence.hh"
 #include "os/kernel.hh"
-#include "privlib/costs.hh"
 #include "sim/machine.hh"
 #include "uat/uat_system.hh"
 #include "uat/vma_table.hh"
@@ -197,7 +196,6 @@ class PrivLib
     /** Cycles spent in PD-management ops. */
     std::uint64_t pdManagementCycles() const;
 
-    PrivCosts &costs() { return costs_; }
     uat::UatSystem &uat() { return uat_; }
 
     /** Base VA of PrivLib's privileged code VMA (gates live here). */
@@ -237,7 +235,6 @@ class PrivLib
     uat::VmaTableBase &table_;
     os::Kernel &kernel_;
     probe::Probe *probe_ = nullptr; ///< null when not attached
-    PrivCosts costs_;
     bool bypass_ = false;
 
     std::array<FreeList, uat::kNumSizeClasses> vaLists_;

@@ -8,6 +8,13 @@
 
 namespace jord::prof {
 
+namespace {
+
+/** Time-series ring capacity. */
+constexpr std::size_t kRingCap = 1 << 16;
+
+} // namespace
+
 Profiler::Profiler(sim::EventQueue &events, SampleSource &source,
                    const Config &cfg)
     : events_(events), source_(source), cfg_(cfg)
@@ -17,7 +24,7 @@ Profiler::Profiler(sim::EventQueue &events, SampleSource &source,
     double cycles = cfg_.freqGhz * 1e9 / cfg_.hz;
     period_ = std::max<sim::Cycles>(
         1, static_cast<sim::Cycles>(std::llround(cycles)));
-    ring_.reserve(std::min<std::size_t>(cfg_.ringCap, 4096));
+    ring_.reserve(std::min<std::size_t>(kRingCap, 4096));
 }
 
 void
@@ -76,11 +83,11 @@ Profiler::record()
         folded_[key] += period_;
     }
 
-    if (ring_.size() < cfg_.ringCap) {
+    if (ring_.size() < kRingCap) {
         ring_.push_back(pt);
     } else {
         ring_[ringHead_] = pt;
-        ringHead_ = (ringHead_ + 1) % cfg_.ringCap;
+        ringHead_ = (ringHead_ + 1) % kRingCap;
         ++dropped_;
     }
 }

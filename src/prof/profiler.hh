@@ -86,7 +86,6 @@ class Profiler
     {
         double hz = 100000.0;    ///< samples per simulated second
         double freqGhz = 4.0;    ///< core clock, converts hz to cycles
-        std::size_t ringCap = 1 << 16; ///< time-series ring capacity
     };
 
     Profiler(sim::EventQueue &events, SampleSource &source,

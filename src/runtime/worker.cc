@@ -1034,6 +1034,48 @@ WorkerServer::consumeChildResults(Invocation &inv, Tick at,
 }
 
 Cycles
+WorkerServer::pdTeardown(Invocation &inv, unsigned core)
+{
+    uat::UatAccess gate = uat_->fetch(core, privlib_->privCodeBase());
+    Cycles cycles = gate.latency;
+
+    privlib::PrivResult ex = privlib_->cexit(core);
+    if (!ex.ok)
+        sim::panic("cexit failed: %s", uat::faultName(ex.fault));
+    cycles += ex.latency;
+
+    if (inv.req->argBuf) {
+        // Hand the ArgBuf back to the PD it came from.
+        privlib::PrivResult mv = privlib_->pmoveBetween(
+            core, inv.req->argBuf, inv.pd, inv.req->argOwner,
+            uat::Perm::rw());
+        if (!mv.ok)
+            sim::panic("teardown ArgBuf pmove failed: %s",
+                       uat::faultName(mv.fault));
+        cycles += mv.latency;
+    }
+    privlib::PrivResult code = privlib_->pmoveBetween(
+        core, registry_.at(inv.req->fn).codeVma, inv.pd,
+        privlib::PrivLib::kRootPd, uat::Perm::rx());
+    if (!code.ok)
+        sim::panic("code revoke failed: %s", uat::faultName(code.fault));
+    cycles += code.latency;
+
+    privlib::PrivResult un = privlib_->munmap(
+        core, inv.stackHeapVma,
+        registry_.at(inv.req->fn).spec.stackHeapBytes);
+    if (!un.ok)
+        sim::panic("stack/heap munmap failed: %s",
+                   uat::faultName(un.fault));
+    cycles += un.latency;
+
+    privlib::PrivResult put = privlib_->cput(core, inv.pd);
+    if (!put.ok)
+        sim::panic("cput failed: %s", uat::faultName(put.fault));
+    return cycles + put.latency;
+}
+
+Cycles
 WorkerServer::invocationEpilogue(Invocation &inv, Tick at)
 {
     unsigned core = coreOfExec(inv.exec);
@@ -1048,51 +1090,8 @@ WorkerServer::invocationEpilogue(Invocation &inv, Tick at)
         charge(inv, trace::Category::Comm, "argbuf.respond", core, at,
                busy);
 
-        uat::UatAccess gate = uat_->fetch(core, privlib_->privCodeBase());
-        busy += gate.latency;
-        Cycles iso = gate.latency;
-
-        privlib::PrivResult ex = privlib_->cexit(core);
-        if (!ex.ok)
-            sim::panic("cexit failed: %s", uat::faultName(ex.fault));
-        busy += ex.latency;
-        iso += ex.latency;
-
-        if (inv.req->argBuf) {
-            // Hand the ArgBuf (now holding the response) back to the
-            // PD it came from.
-            privlib::PrivResult mv = privlib_->pmoveBetween(
-                core, inv.req->argBuf, inv.pd, inv.req->argOwner,
-                uat::Perm::rw());
-            if (!mv.ok)
-                sim::panic("epilogue ArgBuf pmove failed: %s",
-                           uat::faultName(mv.fault));
-            busy += mv.latency;
-            iso += mv.latency;
-        }
-        privlib::PrivResult code = privlib_->pmoveBetween(
-            core, registry_.at(inv.req->fn).codeVma, inv.pd,
-            privlib::PrivLib::kRootPd, uat::Perm::rx());
-        if (!code.ok)
-            sim::panic("code revoke failed: %s",
-                       uat::faultName(code.fault));
-        busy += code.latency;
-        iso += code.latency;
-
-        privlib::PrivResult un = privlib_->munmap(
-            core, inv.stackHeapVma,
-            registry_.at(inv.req->fn).spec.stackHeapBytes);
-        if (!un.ok)
-            sim::panic("stack/heap munmap failed: %s",
-                       uat::faultName(un.fault));
-        busy += un.latency;
-        iso += un.latency;
-
-        privlib::PrivResult put = privlib_->cput(core, inv.pd);
-        if (!put.ok)
-            sim::panic("cput failed: %s", uat::faultName(put.fault));
-        busy += put.latency;
-        iso += put.latency;
+        Cycles iso = pdTeardown(inv, core);
+        busy += iso;
         charge(inv, trace::Category::Isolation, "pd_teardown", core,
                at + busy - iso, iso);
         break;
@@ -1560,48 +1559,9 @@ WorkerServer::abortReclaim(Invocation &inv, Tick at, bool in_pd)
         for (ChildResult &r : inv.childResults)
             busy += freeArgBuf(core, r.argBuf, r.argBytes);
         inv.childResults.clear();
-
-        uat::UatAccess gate = uat_->fetch(core,
-                                          privlib_->privCodeBase());
-        busy += gate.latency;
-        privlib::PrivResult ex = privlib_->cexit(core);
-        if (!ex.ok)
-            sim::panic("abort cexit failed: %s",
-                       uat::faultName(ex.fault));
-        busy += ex.latency;
-
-        if (inv.req->argBuf) {
-            // The input ArgBuf goes back to its owner (root for
-            // external requests — it is reused verbatim on retry).
-            privlib::PrivResult mv = privlib_->pmoveBetween(
-                core, inv.req->argBuf, inv.pd, inv.req->argOwner,
-                uat::Perm::rw());
-            if (!mv.ok)
-                sim::panic("abort ArgBuf pmove failed: %s",
-                           uat::faultName(mv.fault));
-            busy += mv.latency;
-        }
-        privlib::PrivResult code = privlib_->pmoveBetween(
-            core, registry_.at(inv.req->fn).codeVma, inv.pd,
-            privlib::PrivLib::kRootPd, uat::Perm::rx());
-        if (!code.ok)
-            sim::panic("abort code revoke failed: %s",
-                       uat::faultName(code.fault));
-        busy += code.latency;
-
-        privlib::PrivResult un = privlib_->munmap(
-            core, inv.stackHeapVma,
-            registry_.at(inv.req->fn).spec.stackHeapBytes);
-        if (!un.ok)
-            sim::panic("abort stack/heap munmap failed: %s",
-                       uat::faultName(un.fault));
-        busy += un.latency;
-
-        privlib::PrivResult put = privlib_->cput(core, inv.pd);
-        if (!put.ok)
-            sim::panic("abort cput failed: %s",
-                       uat::faultName(put.fault));
-        busy += put.latency;
+        // The input ArgBuf goes back to its owner (root for external
+        // requests — it is reused verbatim on retry).
+        busy += pdTeardown(inv, core);
         break;
       }
       case SystemKind::JordNI: {

@@ -409,6 +409,14 @@ class WorkerServer : public prof::SampleSource
     sim::Cycles runUntilBlocked(Invocation &inv, sim::Tick at);
     sim::Cycles invocationPrologue(Invocation &inv, sim::Tick at);
     sim::Cycles invocationEpilogue(Invocation &inv, sim::Tick at);
+    /**
+     * Leave and destroy a Jord/JordBT invocation's PD on @p core: exit
+     * through the gate, hand the input ArgBuf back to its owner, revoke
+     * the code permission, free the stack/heap and cput the PD. The
+     * epilogue charges the returned cycles as pd_teardown; an abort adds
+     * them to abort.reclaim.
+     */
+    sim::Cycles pdTeardown(Invocation &inv, unsigned core);
     sim::Cycles issueChild(Invocation &inv, const CallSpec &call,
                            sim::Cycles offset, sim::Tick at);
     /** @p child_failed is set when any consumed result is a failure. */

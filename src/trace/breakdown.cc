@@ -1,11 +1,10 @@
 #include "trace/breakdown.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 
 #include "stats/table.hh"
+#include "trace/integrity.hh"
 
 namespace jord::trace {
 
@@ -91,34 +90,6 @@ aggregate(const std::map<std::uint64_t, PerRequest> &reqs,
         report.rows.push_back(std::move(row));
     }
     return report;
-}
-
-// --- Minimal extractors for our own line-oriented JSON ---------------
-
-/** Extract the numeric value following `"key":`; NAN-free: ok flag. */
-bool
-jsonNumber(const std::string &line, const char *key, double &out)
-{
-    std::size_t pos = line.find(key);
-    if (pos == std::string::npos)
-        return false;
-    out = std::strtod(line.c_str() + pos + std::strlen(key), nullptr);
-    return true;
-}
-
-/** Extract the string value following `"key":"` up to the next `"`. */
-bool
-jsonString(const std::string &line, const char *key, std::string &out)
-{
-    std::size_t pos = line.find(key);
-    if (pos == std::string::npos)
-        return false;
-    pos += std::strlen(key);
-    std::size_t end = line.find('"', pos);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(pos, end - pos);
-    return true;
 }
 
 } // namespace

@@ -1,6 +1,8 @@
 /**
  * @file
- * Trace-file integrity check shared by the offline trace tools.
+ * Trace-file integrity check and line extractors shared by the offline
+ * trace tools (trace_report through trace::analyzeChromeTrace, and
+ * jordlint).
  *
  * jordsim's Chrome trace writer terminates every complete file with
  * the metadata object's closing "}}" (followed only by whitespace);
@@ -19,12 +21,44 @@
 #ifndef JORD_TRACE_INTEGRITY_HH
 #define JORD_TRACE_INTEGRITY_HH
 
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "sim/logging.hh"
 
 namespace jord::trace {
+
+// --- Minimal extractors for the writer's line-oriented JSON -----------
+
+/** Extract the numeric value following @p key (e.g. `"dur":`) on one
+ * trace line; returns an ok flag. */
+inline bool
+jsonNumber(const std::string &line, const char *key, double &out)
+{
+    std::size_t pos = line.find(key);
+    if (pos == std::string::npos)
+        return false;
+    out = std::strtod(line.c_str() + pos + std::strlen(key), nullptr);
+    return true;
+}
+
+/** Extract the string value following @p key (e.g. `"cat":"`) up to
+ * the next `"`; returns an ok flag. */
+inline bool
+jsonString(const std::string &line, const char *key, std::string &out)
+{
+    std::size_t pos = line.find(key);
+    if (pos == std::string::npos)
+        return false;
+    pos += std::strlen(key);
+    std::size_t end = line.find('"', pos);
+    if (end == std::string::npos)
+        return false;
+    out = line.substr(pos, end - pos);
+    return true;
+}
 
 /**
  * Fatal unless @p path is a complete Chrome trace JSON file: readable,

@@ -15,20 +15,20 @@ Vtd::Vtd(const sim::MachineConfig &cfg, const noc::Mesh &mesh)
 }
 
 std::size_t
-Vtd::setBase(Addr vte_addr) const
+Vtd::setBase(Addr tag) const
 {
-    Addr block = sim::blockAlign(vte_addr);
-    unsigned slice = mesh_.homeSlice(block, 0) % cfg_.numCores;
-    std::uint64_t set = (block / sim::kCacheBlockBytes) % cfg_.vtdSets;
+    // From tile 0 the home slice is below the tiles per socket, which
+    // the Mesh constructor requires to divide numCores, so it always
+    // names one of the VTD's numCores slices.
+    unsigned slice = mesh_.homeSlice(tag, 0);
+    std::uint64_t set = (tag / sim::kCacheBlockBytes) % cfg_.vtdSets;
     return (static_cast<std::size_t>(slice) * cfg_.vtdSets + set) *
            cfg_.vtdWays;
 }
 
 Vtd::Entry *
-Vtd::find(Addr vte_addr)
+Vtd::find(Addr tag, std::size_t base)
 {
-    Addr tag = sim::blockAlign(vte_addr);
-    std::size_t base = setBase(vte_addr);
     for (unsigned way = 0; way < cfg_.vtdWays; ++way) {
         Entry &entry = entries_[base + way];
         if (entry.valid && entry.tag == tag)
@@ -38,15 +38,14 @@ Vtd::find(Addr vte_addr)
 }
 
 const Vtd::Entry *
-Vtd::find(Addr vte_addr) const
+Vtd::find(Addr tag, std::size_t base) const
 {
-    return const_cast<Vtd *>(this)->find(vte_addr);
+    return const_cast<Vtd *>(this)->find(tag, base);
 }
 
 Vtd::Entry &
-Vtd::victimIn(Addr vte_addr, std::optional<Evicted> &out)
+Vtd::victimIn(std::size_t base, std::optional<Evicted> &out)
 {
-    std::size_t base = setBase(vte_addr);
     Entry *victim = nullptr;
     for (unsigned way = 0; way < cfg_.vtdWays; ++way) {
         Entry &entry = entries_[base + way];
@@ -67,15 +66,17 @@ std::optional<Vtd::Evicted>
 Vtd::addSharer(Addr vte_addr, unsigned core)
 {
     ++stats_.reads;
-    if (Entry *entry = find(vte_addr)) {
+    Addr tag = sim::blockAlign(vte_addr);
+    std::size_t base = setBase(tag);
+    if (Entry *entry = find(tag, base)) {
         entry->sharers.set(core);
         entry->lastUse = ++useClock_;
         return std::nullopt;
     }
     std::optional<Evicted> evicted;
-    Entry &entry = victimIn(vte_addr, evicted);
+    Entry &entry = victimIn(base, evicted);
     entry.valid = true;
-    entry.tag = sim::blockAlign(vte_addr);
+    entry.tag = tag;
     entry.sharers.reset();
     entry.sharers.set(core);
     entry.lastUse = ++useClock_;
@@ -85,7 +86,8 @@ Vtd::addSharer(Addr vte_addr, unsigned core)
 std::optional<mem::CoreMask>
 Vtd::sharers(Addr vte_addr) const
 {
-    const Entry *entry = find(vte_addr);
+    Addr tag = sim::blockAlign(vte_addr);
+    const Entry *entry = find(tag, setBase(tag));
     if (!entry)
         return std::nullopt;
     return entry->sharers;
@@ -94,7 +96,8 @@ Vtd::sharers(Addr vte_addr) const
 std::optional<mem::CoreMask>
 Vtd::remove(Addr vte_addr)
 {
-    Entry *entry = find(vte_addr);
+    Addr tag = sim::blockAlign(vte_addr);
+    Entry *entry = find(tag, setBase(tag));
     if (!entry)
         return std::nullopt;
     std::optional<mem::CoreMask> sharers = entry->sharers;
@@ -106,15 +109,17 @@ Vtd::remove(Addr vte_addr)
 std::optional<Vtd::Evicted>
 Vtd::installPessimistic(Addr vte_addr, const mem::CoreMask &sharers)
 {
-    if (find(vte_addr) != nullptr)
+    Addr tag = sim::blockAlign(vte_addr);
+    std::size_t base = setBase(tag);
+    if (find(tag, base) != nullptr)
         return std::nullopt; // already tracked precisely
     if (sharers.none())
         return std::nullopt;
     ++stats_.victims;
     std::optional<Evicted> evicted;
-    Entry &entry = victimIn(vte_addr, evicted);
+    Entry &entry = victimIn(base, evicted);
     entry.valid = true;
-    entry.tag = sim::blockAlign(vte_addr);
+    entry.tag = tag;
     entry.sharers = sharers;
     entry.lastUse = ++useClock_;
     return evicted;

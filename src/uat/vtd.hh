@@ -101,11 +101,12 @@ class Vtd
     std::uint64_t useClock_ = 0;
     VtdStats stats_;
 
-    /** First entry index of the set @p vte_addr maps to. */
-    std::size_t setBase(sim::Addr vte_addr) const;
-    Entry *find(sim::Addr vte_addr);
-    const Entry *find(sim::Addr vte_addr) const;
-    Entry &victimIn(sim::Addr vte_addr, std::optional<Evicted> &out);
+    /** First entry index of the set block @p tag maps to. */
+    std::size_t setBase(sim::Addr tag) const;
+    /** The valid entry tagged @p tag in the set at @p base, or null. */
+    Entry *find(sim::Addr tag, std::size_t base);
+    const Entry *find(sim::Addr tag, std::size_t base) const;
+    Entry &victimIn(std::size_t base, std::optional<Evicted> &out);
 };
 
 } // namespace jord::uat

@@ -13,6 +13,13 @@ using runtime::SystemKind;
 using runtime::WorkerConfig;
 using runtime::WorkerServer;
 
+namespace {
+
+/** Load used to measure the minimal-load service time (MRPS). */
+constexpr double kMinimalLoadMrps = 0.01;
+
+} // namespace
+
 double
 measureSloUs(const Workload &workload, const SweepConfig &cfg)
 {
@@ -21,11 +28,10 @@ measureSloUs(const Workload &workload, const SweepConfig &cfg)
     WorkerServer worker(wc, workload.registry);
     std::uint64_t requests =
         std::max<std::uint64_t>(2000, cfg.requestsPerPoint / 10);
-    RunResult res = worker.run(cfg.minimalLoadMrps, requests,
-                               workload.mix, cfg.warmupFrac);
+    RunResult res = worker.run(kMinimalLoadMrps, requests, workload.mix);
     if (res.latencyUs.empty())
         sim::fatal("SLO measurement produced no samples");
-    return cfg.sloMultiplier * res.latencyUs.mean();
+    return kSloMultiplier * res.latencyUs.mean();
 }
 
 void
@@ -62,8 +68,8 @@ sweepLoad(const Workload &workload, SystemKind system,
             WorkerConfig wc = cfg.worker;
             wc.system = system;
             WorkerServer worker(wc, workload.registry);
-            RunResult res = worker.run(load, cfg.requestsPerPoint,
-                                       workload.mix, cfg.warmupFrac);
+            RunResult res =
+                worker.run(load, cfg.requestsPerPoint, workload.mix);
             SweepPoint point;
             point.offeredMrps = load;
             point.achievedMrps = res.achievedMrps;
@@ -113,8 +119,7 @@ runSeedSweep(const Workload &workload, const SeedSweepConfig &cfg)
             WorkerConfig wc = cfg.worker;
             wc.seed = cfg.seedLo + i;
             WorkerServer worker(wc, workload.registry);
-            return worker.run(cfg.mrps, cfg.requests, workload.mix,
-                              cfg.warmupFrac);
+            return worker.run(cfg.mrps, cfg.requests, workload.mix);
         });
 }
 

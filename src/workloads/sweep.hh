@@ -33,6 +33,11 @@ class ThreadPool;
 
 namespace jord::workloads {
 
+/** The §5 SLO: this many times the minimal-load mean latency. The
+ * worker sweeps (measureSloUs) and the fleet's derived SLO
+ * (cluster::ClusterSim) both apply it. */
+inline constexpr double kSloMultiplier = 10.0;
+
 /** One point of a load sweep. */
 struct SweepPoint {
     double offeredMrps = 0;
@@ -56,11 +61,6 @@ struct SweepConfig {
     runtime::WorkerConfig worker;
     /** External requests per load point. */
     std::uint64_t requestsPerPoint = 20000;
-    double warmupFrac = 0.2;
-    /** Load used to measure the minimal-load service time (MRPS). */
-    double minimalLoadMrps = 0.01;
-    /** SLO multiplier over the Jord_NI minimal-load service time. */
-    double sloMultiplier = 10.0;
     /**
      * Host-parallel engine: load points fan across this pool (null =
      * serial). Output is byte-identical either way (DESIGN.md §9).
@@ -69,7 +69,7 @@ struct SweepConfig {
 };
 
 /**
- * Measure the SLO for a workload: sloMultiplier x the mean request
+ * Measure the SLO for a workload: kSloMultiplier x the mean request
  * latency on Jord_NI under minimal load (§5).
  */
 double measureSloUs(const Workload &workload, const SweepConfig &cfg);
@@ -110,7 +110,6 @@ struct SeedSweepConfig {
     std::uint64_t seedHi = 1;
     double mrps = 1.0;
     std::uint64_t requests = 20000;
-    double warmupFrac = 0.2;
     /** Seeds fan across this pool (null = serial). */
     par::ThreadPool *pool = nullptr;
 };

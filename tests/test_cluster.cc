@@ -6,9 +6,10 @@
  * per-server metrics namespacing, and exact digests of whole runs.
  *
  * Fleet tests run on a hand-built ServerModel (no calibration runs),
- * so they exercise the cluster DES itself and stay fast; the
- * calibration path is covered by the --jobs byte-identity test in
- * test_par.cc and by the jordsim end-to-end test in test_tools.cc.
+ * so they exercise the cluster DES itself and stay fast. The
+ * calibration path is pinned by ClusterPin.CalibratedHotelModel and
+ * covered by the --jobs byte-identity test in test_par.cc and by the
+ * jordsim end-to-end test in test_tools.cc.
  */
 
 #include <gtest/gtest.h>
@@ -453,7 +454,7 @@ TEST(Cluster, CostIntegratesPoweredOnServerSeconds)
     EXPECT_GE(res.costServerSeconds, floor_s);
     EXPECT_LT(res.costServerSeconds, floor_s * 1.05);
 
-    // At light load (occupancy below queueLow on 4 servers) the
+    // At light load (occupancy below kQueueLow on 4 servers) the
     // autoscaler drains down to 2 servers, so integrated cost must be
     // strictly less than the static fleet's.
     cfg.traffic.mrps = 0.6;
@@ -878,4 +879,41 @@ TEST(ClusterPin, ChaosWithEveryMechanism)
     EXPECT_GT(r.ejections, 0u);
     EXPECT_GT(r.breakerOpens, 0u);
     EXPECT_EQ(pinDigest(run), 0xb93358b1b59037d2ull);
+}
+
+TEST(ClusterPin, DerivedSloFromCalibration)
+{
+    // sloUs = 0 takes the §5 rule: kSloMultiplier x the calibrated
+    // mean latency (3 µs here), which every tenant and the failure
+    // detector then see.
+    ClusterConfig cfg = fleetConfig(4, 3.2, TrafficShape::Flash);
+    cfg.sloUs = 0;
+    cfg.serverQueueCap = 12;
+    PinnedRun run = runPinned(cfg);
+    expectFleetConservation(run.result);
+    EXPECT_EQ(run.result.sloUs, 30.0);
+    EXPECT_EQ(pinDigest(run), 0x012b4da1e0e4fff1ull);
+}
+
+TEST(ClusterPin, CalibratedHotelModel)
+{
+    // The calibration probe loads, the warm-up fraction and the
+    // quantile-table resolution all feed this model.
+    workloads::Workload w = workloads::makeHotel();
+    ClusterConfig cfg;
+    cfg.calibration.requests = 2000;
+    ServerModel model =
+        cluster::calibrateServer(w, cfg.worker, cfg.calibration, nullptr);
+    PinDigest d;
+    d.add(static_cast<std::uint64_t>(model.latencyQuantilesUs.size()));
+    for (const auto &[us, frac] : model.latencyQuantilesUs) {
+        d.add(us);
+        d.add(frac);
+    }
+    d.add(model.meanLatencyUs);
+    d.add(model.capacityMrps);
+    d.add(static_cast<std::uint64_t>(model.concurrency));
+    d.add(static_cast<std::uint64_t>(model.numExecutors));
+    EXPECT_EQ(model.latencyQuantilesUs.size(), 64u);
+    EXPECT_EQ(d.h, 0x310452c95bb09d51ull);
 }

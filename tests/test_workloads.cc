@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "workloads/sweep.hh"
 #include "workloads/workloads.hh"
 
@@ -138,6 +141,9 @@ TEST(Sweep, MeasureSloIsTenTimesMinimalLoadLatency)
     // Hotel requests run a handful of us at minimal load.
     EXPECT_GT(slo, 10.0);
     EXPECT_LT(slo, 120.0);
+    // The minimal load, the warm-up fraction and kSloMultiplier all
+    // feed these bits.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(slo), 0x403cc7d3dd97f635ull);
 }
 
 TEST(Sweep, KneeDetectionIsMonotone)

@@ -26,7 +26,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -37,31 +36,8 @@
 
 namespace {
 
-/** Extract the numeric value following `key`; returns an ok flag. */
-bool
-jsonNumber(const std::string &line, const char *key, double &out)
-{
-    std::size_t pos = line.find(key);
-    if (pos == std::string::npos)
-        return false;
-    out = std::strtod(line.c_str() + pos + std::strlen(key), nullptr);
-    return true;
-}
-
-/** Extract the string value following `key` up to the next `"`. */
-bool
-jsonString(const std::string &line, const char *key, std::string &out)
-{
-    std::size_t pos = line.find(key);
-    if (pos == std::string::npos)
-        return false;
-    pos += std::strlen(key);
-    std::size_t end = line.find('"', pos);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(pos, end - pos);
-    return true;
-}
+using jord::trace::jsonNumber;
+using jord::trace::jsonString;
 
 /** Lifecycle tallies re-derived for one request id. */
 struct ReqLifecycle {

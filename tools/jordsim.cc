@@ -787,20 +787,12 @@ runCluster(const Options &opt, par::ThreadPool *pool)
         // The observer sees the resolved fleet: every server the
         // autoscaler could ever enlist, and the finalized tenant list
         // with their absolute SLOs.
-        unsigned max_servers = cfg.numServers;
-        if (cfg.autoscale.enabled)
-            max_servers = std::max(cfg.numServers,
-                                   cfg.autoscale.maxServers == 0
-                                       ? cfg.numServers
-                                       : cfg.autoscale.maxServers);
-        double slo_us =
-            cfg.sloUs > 0 ? cfg.sloUs : 10.0 * model.meanLatencyUs;
         cfg.traffic.finalize();
         std::vector<obs::ObsTenant> tenants;
         for (const cluster::TenantSpec &spec : cfg.traffic.tenants)
             tenants.push_back(obs::ObsTenant{
-                spec.name, slo_us * spec.sloMultiplier});
-        observer.emplace(ocfg, max_servers, std::move(tenants),
+                spec.name, sim.sloUs() * spec.sloMultiplier});
+        observer.emplace(ocfg, sim.maxServers(), std::move(tenants),
                          model.concurrency,
                          cfg.worker.machine.freqGhz);
         sim.setObserver(&*observer);
