@@ -13,25 +13,18 @@
  * occupancy or SLO burn with hysteresis (distinct high/low
  * thresholds plus a cooldown).
  *
- * The fleet can also run under chaos: the fault plan's `cluster:`
- * clause (fault/fault.hh) injects server crashes (warm pools lost,
- * restart pays a Groundhog-style snapshot-restore cost per re-warmed
- * slot), gray degradation windows, and LB<->server link drops and
- * delays. ResilienceConfig enables the mechanisms that react:
- * heartbeat health checking, LB outlier ejection, hedged requests,
- * a fleet-wide retry budget, and per-(server,tenant) circuit
- * breakers. Every request resolves as exactly one of completed, shed,
- * or failed, so `generated == completed + shed + failed` holds under
- * any fault plan (the chaos bench's conservation gate).
+ * A request has one lifecycle: it arrives, the LB picks a server, and
+ * the server sheds it at admission or queues it; it then starts on a
+ * free executor and completes once. So `generated == completed +
+ * shed` once the run drains.
  *
  * Determinism: one ClusterSim run is a pure function of
  * (ClusterConfig, ServerModel). All randomness flows through three
- * seeded streams (traffic, LB dispatch, service draws) plus the fault
- * plan's pure-hash decisions, every event tie fires in schedule order
- * (sim::EventQueue), and the calibration feeding the ServerModel fans
- * across the host pool under the DESIGN.md §9 contract — so fleet
- * results are byte-identical at any --jobs and across same-seed runs,
- * and a zero-rate fault plan leaves them bit-for-bit unchanged.
+ * seeded streams (traffic, LB dispatch, service draws), every event
+ * tie fires in schedule order (sim::EventQueue), and the calibration
+ * feeding the ServerModel fans across the host pool under the
+ * DESIGN.md §9 contract — so fleet results are byte-identical at any
+ * --jobs and across same-seed runs.
  */
 
 #ifndef JORD_CLUSTER_CLUSTER_HH
@@ -45,7 +38,6 @@
 #include "cluster/lb.hh"
 #include "cluster/server.hh"
 #include "cluster/traffic.hh"
-#include "fault/fault.hh"
 #include "sim/event_queue.hh"
 #include "stats/histogram.hh"
 #include "stats/sampler.hh"
@@ -53,11 +45,6 @@
 namespace jord::trace {
 class MetricsRegistry;
 } // namespace jord::trace
-
-namespace jord::obs {
-class FleetObserver;
-struct ServerSnapshot;
-} // namespace jord::obs
 
 namespace jord::cluster {
 
@@ -79,51 +66,6 @@ struct ColdStartPolicy {
     unsigned prewarm = 4;
 };
 
-/**
- * Fault-tolerance mechanisms (all off by default; with every field at
- * its default the simulation is byte-identical to a fault-free run).
- */
-struct ResilienceConfig {
-    /** Hedge: dispatch a second copy of a still-outstanding request to
-     * a distinct server after this delay; first completion wins, the
-     * loser is cancelled (0 = off). */
-    double hedgeUs = 0;
-    /** Hedges are capped at this fraction of generated primaries.
-     * Without the cap hedging is bistable: any transient that pushes
-     * latency past hedgeUs (a cold-start burst, a crash backlog) makes
-     * every request hedge, and the doubled load keeps latency above
-     * the trigger forever. */
-    double hedgeBudgetFrac = 0.1;
-    /** LB outlier ejection: at every control tick, eject active
-     * servers whose interval P99 exceeds ejectMult x the fleet median.
-     * Re-admission after a probation of control ticks, doubling with
-     * each consecutive re-ejection so a persistently slow server
-     * spends vanishing time in the fleet. */
-    bool outlierEject = false;
-    double ejectMult = 3.0;
-    /** Fleet-wide retry budget: failed requests are retried only while
-     * total retries stay under this fraction of generated primaries,
-     * so a retry storm cannot amplify overload (0 = retries off). */
-    double retryBudgetFrac = 0;
-    /** Heartbeat health checking: the LB stops routing to a server
-     * after consecutive missed beats and re-admits it on the first
-     * beat after restart. Without it the LB keeps dispatching to dead
-     * servers and loses those requests. */
-    bool healthCheck = false;
-    /** Per-(server,tenant) circuit breaker: breakerThreshold
-     * consecutive failures open the breaker for a cooldown; arrivals
-     * routed to an open breaker are shed at admission. */
-    bool breaker = false;
-    unsigned breakerThreshold = 8;
-
-    bool
-    any() const
-    {
-        return hedgeUs > 0 || outlierEject || retryBudgetFrac > 0 ||
-               healthCheck || breaker;
-    }
-};
-
 /** Fleet configuration. */
 struct ClusterConfig {
     /** Per-server configuration; calibration runs the real simulator
@@ -135,10 +77,6 @@ struct ClusterConfig {
     TrafficConfig traffic;
     AutoscalePolicy autoscale;
     ColdStartPolicy coldStart;
-    ResilienceConfig resilience;
-    /** Only the plan's `cluster:` clause and seed are read here;
-     * function-scope clauses are worker-only. */
-    fault::FaultPlan faultPlan;
     /** Per-server outstanding-request cap: arrivals dispatched to a
      * server already holding this many are shed at admission, the
      * fleet-level mirror of WorkerConfig::shedCap (0 = never shed). */
@@ -154,7 +92,6 @@ struct ClusterConfig {
 struct ServerStats {
     std::uint64_t completed = 0;
     std::uint64_t shed = 0;
-    std::uint64_t failed = 0;
     std::uint64_t coldStarts = 0;
     double p99Us = 0;
     /** Powered-on simulated time (cost contribution). */
@@ -167,7 +104,6 @@ struct TenantStats {
     double sloUs = 0;
     std::uint64_t completed = 0;
     std::uint64_t shed = 0;
-    std::uint64_t failed = 0;
     double p99Us = 0;
     /** Fraction of completions that met this tenant's SLO. */
     double sloAttainment = 0;
@@ -194,26 +130,14 @@ struct ClusterResult {
     std::uint64_t generated = 0;
     std::uint64_t completed = 0;
     std::uint64_t shed = 0;
-    /** Requests lost to crashes or link drops and not recovered by a
-     * hedge or retry (generated == completed + shed + failed). */
-    std::uint64_t failed = 0;
     std::uint64_t coldStarts = 0;
+    /** Always 0: a fleet request never fails, retries or hedges. They
+     * stay because perfbench's fleet digest reads them. */
+    std::uint64_t failed = 0;
     std::uint64_t retries = 0;
     std::uint64_t hedges = 0;
-    /** Completions where the hedge copy beat the primary. */
-    std::uint64_t hedgeWins = 0;
-    std::uint64_t crashes = 0;
-    std::uint64_t restarts = 0;
-    std::uint64_t ejections = 0;
-    std::uint64_t breakerOpens = 0;
-    /** Arrivals shed because their (server,tenant) breaker was open
-     * (included in `shed`). */
-    std::uint64_t breakerShed = 0;
-    /** First crash to the fleet being fully up with outstanding back
-     * at its pre-crash level: 0 = no crash, -1 = never recovered. */
-    double timeToRecoverUs = 0;
-    /** In-window requests that missed their SLO or failed, as a
-     * fraction of in-window arrivals. */
+    /** In-window completions that missed their SLO, as a fraction of
+     * in-window arrivals. */
     double sloBurn = 0;
     std::vector<ServerStats> servers;
     std::vector<TenantStats> tenants;
@@ -233,68 +157,16 @@ class ClusterSim
     ClusterSim(const ClusterSim &) = delete;
     ClusterSim &operator=(const ClusterSim &) = delete;
 
-    /**
-     * Attach the observability plane (must happen before run()). Null
-     * by default; every instrumentation site is one pointer test, so
-     * an unobserved run is byte-identical to a build without the
-     * plane.
-     */
-    void setObserver(obs::FleetObserver *obs) { obs_ = obs; }
-
     /** The fleet's event queue (bench instrumentation: events/sec). */
     sim::EventQueue &eventQueue() { return events_; }
-
-    /** The fleet SLO in µs: ClusterConfig::sloUs, or the §5 rule over
-     * the calibrated mean latency when that is 0. */
-    double sloUs() const { return sloUs_; }
-    /** Servers the fleet can ever hold: numServers, or the
-     * autoscaler's ceiling when that is higher. */
-    unsigned maxServers() const { return maxServers_; }
 
     ClusterResult run();
 
   private:
-    /** Lifecycle of one dispatched copy of a request. */
-    enum CopyState : std::uint8_t {
-        CopyNone = 0, ///< never dispatched
-        CopyQueued,   ///< in a server's admission queue
-        CopyInFlight, ///< link-delayed, not yet at the server
-        CopyRunning,  ///< executing; completion event pending
-        CopyLost,     ///< lost (crash / link drop); detection pending
-        CopyDead,     ///< resolved: completed, cancelled, or failed
-    };
-
-    struct Copy {
-        std::uint32_t server = 0;
-        /** Pending event handle (completion, delayed enqueue, or
-         * failure detection — depending on state). */
-        std::uint64_t ev = 0;
-        std::uint8_t state = CopyNone;
-    };
-
-    /** Per-request state, kept while any event or queue entry still
-     * references its table slot (refs counts those) and freed after. */
-    struct ReqState {
-        /** Request id, in arrival order: names the request to the
-         * observer and keys the fault plan's link hashes. */
-        std::uint64_t id = 0;
-        sim::Tick arrival = 0;
-        std::uint64_t session = 0;
-        std::uint64_t hedgeEv = 0;
-        std::uint32_t tenant = 0;
-        int refs = 0;
-        std::uint8_t attempt = 0;
-        bool done = false;
-        /** Taken and not yet freed: keeps maybeFree from listing a
-         * slot on freeReqs_ twice. */
-        bool live = false;
-        Copy copies[2];
-    };
-
-    /** A queued copy: request table slot and copy index. */
+    /** A queued request: all the state it carries until it starts. */
     struct QEntry {
-        std::uint32_t req;
-        std::uint8_t copy;
+        sim::Tick arrival;
+        std::uint32_t tenant;
     };
 
     struct Server {
@@ -303,92 +175,26 @@ class ClusterSim
         /** Accruing cost; a draining server is powered on but out of
          * the fleet until its last request completes. */
         bool poweredOn = false;
-        /** Crashed and not yet restarted. */
-        bool down = false;
-        /** Ejected by the LB outlier detector (on probation). */
-        bool ejected = false;
         std::uint32_t running = 0;
         std::deque<QEntry> queue;
-        /** copyKey(req, copy) of the running copies, in start order,
-         * so a crash kills them deterministically. */
-        std::vector<std::uint64_t> runningCopies;
         /** Per-tenant warm PD-slot expiry ticks (ascending). */
         std::vector<std::deque<sim::Tick>> warm;
         stats::Histogram latencyNs;
-        /** Interval latencies for outlier ejection (reset per control
-         * tick; only recorded when ejection is enabled). */
-        stats::Sampler intervalUs;
         std::uint64_t completed = 0;
         std::uint64_t shed = 0;
-        std::uint64_t failed = 0;
         std::uint64_t coldStarts = 0;
-        unsigned missedBeats = 0;
-        unsigned probation = 0;
-        /** Consecutive ejections without a clean interval between
-         * them; drives the probation backoff. */
-        unsigned ejectStreak = 0;
         sim::Tick poweredOnAt = 0;
         std::uint64_t poweredTicks = 0;
     };
 
-    struct Breaker {
-        unsigned fails = 0;
-        sim::Tick openUntil = 0;
-    };
-
-    static constexpr sim::Tick kNoTick = ~static_cast<sim::Tick>(0);
-
-    /** One copy of one request as a single word: request table slot
-     * and copy index. Event closures capture it next to `this`, well
-     * inside sim::EventFn's inline budget. */
-    static std::uint64_t
-    copyKey(std::uint32_t r, unsigned copy)
-    {
-        return static_cast<std::uint64_t>(r) << 1 | copy;
-    }
-    static std::uint32_t
-    keyReq(std::uint64_t key)
-    {
-        return static_cast<std::uint32_t>(key >> 1);
-    }
-    static unsigned
-    keyCopy(std::uint64_t key)
-    {
-        return static_cast<unsigned>(key & 1);
-    }
-
     void pumpArrival();
     void onArrival(const Arrival &arrival);
-    /** Take a request table slot for a new request. */
-    std::uint32_t allocReq();
-    void dispatchCopy(std::uint32_t r, unsigned copy, std::uint32_t s);
-    void enqueueCopy(std::uint32_t r, unsigned copy, std::uint32_t s);
-    /** Mark a copy lost and schedule its failure detection. */
-    void scheduleDetection(std::uint32_t r, unsigned copy);
     void tryStart(std::uint32_t s);
-    void copyCompleted(std::uint32_t r, unsigned copy);
-    void copyFailed(std::uint32_t r, unsigned copy);
-    void resolveLoser(std::uint32_t r, unsigned copy);
-    void hedgeFire(std::uint32_t r);
-    void scheduleFaultEvents();
-    void crashServer(std::uint32_t s);
-    void restartServer(std::uint32_t s);
-    void heartbeatTick();
-    void outlierTick();
-    void checkRecovered();
-    void maybeFree(std::uint32_t r);
-    double grayFactor(std::uint32_t s) const;
-    const std::vector<std::uint32_t> &routable();
-    bool breakerOpen(std::uint32_t s, std::uint32_t tenant) const;
-    void breakerResult(std::uint32_t s, std::uint32_t tenant, bool ok);
+    /** A request of @p tenant that arrived at @p arrival finished on
+     * server @p s. */
+    void complete(std::uint32_t s, std::uint32_t tenant,
+                  sim::Tick arrival);
     void controlTick();
-    /** Telemetry window boundary: snapshot the fleet, flush, and
-     * reschedule while work remains. */
-    void obsTick();
-    /** Instantaneous per-server queue/running/warm-slot state for the
-     * observer (non-mutating: expired warm slots are counted out, not
-     * popped). */
-    void obsSnapshot(std::vector<obs::ServerSnapshot> &snap) const;
     void accrueOccupancy();
     void powerOn(std::uint32_t s);
     void beginDrain(std::uint32_t s);
@@ -401,18 +207,10 @@ class ClusterSim
 
     const ClusterConfig &cfg_;
     const ServerModel &model_;
-    const ResilienceConfig &res_;
     double freqGhz_;
     double sloUs_ = 0;
     sim::Tick warmupTicks_ = 0;
     sim::Tick keepAliveTicks_ = 0;
-    sim::Tick windowTicks_ = 0;
-    sim::Tick failDetectTicks_ = 0;
-    sim::Tick hedgeTicks_ = 0;
-    sim::Tick breakerCooldownTicks_ = 0;
-    /** The LB view is filtered (health / ejection) only when a
-     * mechanism that feeds it is on; otherwise it aliases active_. */
-    bool useView_ = false;
 
     sim::EventQueue events_;
 
@@ -420,36 +218,16 @@ class ClusterSim
     LoadBalancer lb_;
     sim::Rng lbRng_;
     sim::Rng serviceRng_;
-    fault::ClusterFaultInjector injector_;
-    obs::FleetObserver *obs_ = nullptr;
 
     std::vector<Server> servers_;
     /** Fleet membership for the LB, ascending server ids. */
     std::vector<std::uint32_t> active_;
     /** Per-server outstanding (queued + running), LB's load view. */
     std::vector<std::uint32_t> outstanding_;
-    /** LB health view (heartbeat detector); 1 = routable. */
-    std::vector<char> healthy_;
-    std::vector<std::uint32_t> viewScratch_;
-    std::vector<std::uint32_t> hedgeScratch_;
     std::uint32_t totalOutstanding_ = 0;
     bool arrivalsDone_ = false;
     /** The one arrival pumpArrival() keeps scheduled. */
     Arrival nextArrival_;
-
-    /**
-     * Request table: a slab indexed by slot, never iterated. A request
-     * takes a slot at admission and returns it to freeReqs_ once no
-     * event or queue entry references it, so the table holds only the
-     * requests in flight; a copy awaiting failure detection pins its
-     * own slot, not every request admitted after it. Slots travel in
-     * QEntry, runningCopies and the event closures.
-     */
-    std::vector<ReqState> table_;
-    std::vector<std::uint32_t> freeReqs_;
-    /** Breaker per (server, tenant), at s * numTenants + tenant. */
-    std::vector<Breaker> breakers_;
-    std::uint64_t nextReqId_ = 0;
 
     // Autoscaler state. Occupancy is time-integrated over the control
     // interval (outstanding-requests x ticks), not sampled at the
@@ -463,22 +241,6 @@ class ClusterSim
     sim::Tick lastOccupancyUpdate_ = 0;
     sim::Tick intervalStart_ = 0;
 
-    // Chaos accounting.
-    std::uint64_t failed_ = 0;
-    std::uint64_t failedWindow_ = 0;
-    std::uint64_t retries_ = 0;
-    std::uint64_t hedges_ = 0;
-    std::uint64_t hedgeWins_ = 0;
-    std::uint64_t crashes_ = 0;
-    std::uint64_t restarts_ = 0;
-    std::uint64_t ejections_ = 0;
-    std::uint64_t breakerOpens_ = 0;
-    std::uint64_t breakerShed_ = 0;
-    unsigned downCount_ = 0;
-    sim::Tick firstCrashTick_ = kNoTick;
-    sim::Tick ttrTicks_ = kNoTick;
-    std::uint32_t outstandingAtCrash_ = 0;
-
     // Measured-window accumulators.
     std::uint64_t generated_ = 0;
     std::uint64_t generatedWindow_ = 0;
@@ -487,7 +249,6 @@ class ClusterSim
     std::vector<stats::Sampler> tenantLatencyUs_;
     std::vector<std::uint64_t> tenantCompleted_;
     std::vector<std::uint64_t> tenantShed_;
-    std::vector<std::uint64_t> tenantFailed_;
     std::vector<std::uint64_t> tenantSloOk_;
 
     ClusterResult result_;

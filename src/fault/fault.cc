@@ -63,80 +63,6 @@ applyKey(FaultRates &r, const std::string &key, const std::string &val)
                    key.c_str());
 }
 
-/** Strictly-parsed double for the cluster clause's non-probability
- * keys (durations, multipliers, ids). */
-double
-parseNum(const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    double v = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0')
-        sim::fatal("fault plan: bad value '%s' for key 'cluster:%s'",
-                   val.c_str(), key.c_str());
-    return v;
-}
-
-double
-parseClusterProb(const std::string &key, const std::string &val)
-{
-    double v = parseNum(key, val);
-    if (v < 0.0 || v > 1.0)
-        sim::fatal("fault plan: 'cluster:%s=%s' out of [0,1]",
-                   key.c_str(), val.c_str());
-    return v;
-}
-
-void
-applyClusterKey(ClusterFaultRates &r, const std::string &key,
-                const std::string &val)
-{
-    if (key == "crash")
-        r.serverCrash = parseClusterProb(key, val);
-    else if (key == "restart_ms") {
-        r.restartMs = parseNum(key, val);
-        if (r.restartMs < 0)
-            sim::fatal("fault plan: cluster:restart_ms must be >= 0 "
-                       "(got %s)", val.c_str());
-    } else if (key == "recover_us") {
-        r.recoverUsPerSlot = parseNum(key, val);
-        if (r.recoverUsPerSlot < 0)
-            sim::fatal("fault plan: cluster:recover_us must be >= 0 "
-                       "(got %s)", val.c_str());
-    } else if (key == "gray")
-        r.gray = parseClusterProb(key, val);
-    else if (key == "grayx") {
-        r.grayMult = parseNum(key, val);
-        if (r.grayMult < 1.0)
-            sim::fatal("fault plan: cluster:grayx must be >= 1 "
-                       "(got %s)", val.c_str());
-    } else if (key == "window_ms") {
-        r.windowMs = parseNum(key, val);
-        if (r.windowMs <= 0)
-            sim::fatal("fault plan: cluster:window_ms must be > 0 "
-                       "(got %s)", val.c_str());
-    } else if (key == "drop")
-        r.linkDrop = parseClusterProb(key, val);
-    else if (key == "delay")
-        r.linkDelay = parseClusterProb(key, val);
-    else if (key == "delay_us") {
-        r.linkDelayUs = parseNum(key, val);
-        if (r.linkDelayUs < 0)
-            sim::fatal("fault plan: cluster:delay_us must be >= 0 "
-                       "(got %s)", val.c_str());
-    } else if (key == "gray_server")
-        r.grayServer = static_cast<int>(parseNum(key, val));
-    else if (key == "crash_at_ms")
-        r.crashAtMs = parseNum(key, val);
-    else if (key == "crash_frac")
-        r.crashFrac = parseClusterProb(key, val);
-    else
-        sim::fatal("fault plan: unknown cluster key '%s' (expected "
-                   "crash/restart_ms/recover_us/gray/grayx/window_ms/"
-                   "drop/delay/delay_us/gray_server/crash_at_ms/"
-                   "crash_frac)",
-                   key.c_str());
-}
-
 } // namespace
 
 bool
@@ -157,7 +83,6 @@ FaultPlan::parse(const std::string &spec)
     std::stringstream clauses(spec);
     std::string clause;
     bool first = true;
-    bool seen_cluster = false;
     while (std::getline(clauses, clause, ';')) {
         if (clause.empty())
             continue;
@@ -171,13 +96,6 @@ FaultPlan::parse(const std::string &spec)
                 sim::fatal("fault plan: empty function name in '%s'",
                            clause.c_str());
         }
-        // The reserved `cluster` scope holds fleet-level events; no
-        // deployed function can shadow it.
-        bool is_cluster = scope == "cluster";
-        if (is_cluster && seen_cluster)
-            sim::fatal("fault plan: duplicate cluster clause ('%s')",
-                       clause.c_str());
-        seen_cluster |= is_cluster;
         FaultRates rates = scope.empty() ? plan.defaults : FaultRates{};
         std::stringstream pairs(body);
         std::string pair;
@@ -197,14 +115,9 @@ FaultPlan::parse(const std::string &spec)
                 plan.seed = std::strtoull(val.c_str(), nullptr, 10);
                 continue;
             }
-            if (is_cluster)
-                applyClusterKey(plan.cluster, key, val);
-            else
-                applyKey(rates, key, val);
+            applyKey(rates, key, val);
         }
-        if (is_cluster) {
-            // nothing else to commit: applyClusterKey wrote in place
-        } else if (scope.empty()) {
+        if (scope.empty()) {
             if (!first && colon == std::string::npos)
                 sim::fatal("fault plan: only the first clause may be "
                            "unscoped ('%s')", clause.c_str());
@@ -300,99 +213,6 @@ FaultInjector::pipeDrop(std::uint64_t req_id, unsigned attempt,
     const FaultRates &r = rates_[fn];
     // Site 4 keeps the drop draw independent of the fate draw.
     return r.pipeDrop > 0 && u(req_id, attempt, 4) < r.pipeDrop;
-}
-
-void
-ClusterFaultInjector::configure(const FaultPlan &plan,
-                                std::uint64_t fallback_seed)
-{
-    // A distinct mixing constant keeps the fleet hash stream
-    // independent of the worker injector's even when both derive from
-    // the same fallback seed.
-    std::uint64_t base = plan.seed ? plan.seed : fallback_seed;
-    seed_ = smix(base ^ 0x6368616f732121ull);
-    rates_ = plan.cluster;
-    enabled_ = rates_.any();
-}
-
-double
-ClusterFaultInjector::u(std::uint64_t a, std::uint64_t b,
-                        unsigned site) const
-{
-    std::uint64_t h = smix(seed_ ^ smix(a));
-    h = smix(h ^ (b << 8 | site));
-    return toUnit(h);
-}
-
-bool
-ClusterFaultInjector::crashes(std::uint32_t server,
-                              std::uint64_t window) const
-{
-    return enabled_ && rates_.serverCrash > 0 &&
-           u(server, window, 0) < rates_.serverCrash;
-}
-
-double
-ClusterFaultInjector::crashOffset(std::uint32_t server,
-                                  std::uint64_t window) const
-{
-    return u(server, window, 1);
-}
-
-bool
-ClusterFaultInjector::grayWindow(std::uint32_t server,
-                                 std::uint64_t window) const
-{
-    if (!enabled_)
-        return false;
-    if (rates_.grayServer >= 0 &&
-        server == static_cast<std::uint32_t>(rates_.grayServer))
-        return true;
-    return rates_.gray > 0 && u(server, window, 2) < rates_.gray;
-}
-
-std::vector<GrayIncident>
-ClusterFaultInjector::grayIncidents(std::uint32_t num_servers,
-                                    std::uint64_t num_windows) const
-{
-    std::vector<GrayIncident> runs;
-    if (!enabled_ || (rates_.gray <= 0 && rates_.grayServer < 0))
-        return runs;
-    for (std::uint32_t s = 0; s < num_servers; ++s) {
-        bool open = false;
-        std::uint64_t begin = 0;
-        for (std::uint64_t w = 0; w < num_windows; ++w) {
-            bool gray = grayWindow(s, w);
-            if (gray && !open) {
-                open = true;
-                begin = w;
-            } else if (!gray && open) {
-                open = false;
-                runs.push_back(GrayIncident{s, begin, w});
-            }
-        }
-        if (open)
-            runs.push_back(GrayIncident{s, begin, num_windows});
-    }
-    return runs;
-}
-
-bool
-ClusterFaultInjector::linkDrop(std::uint64_t req_id, unsigned attempt,
-                               unsigned copy) const
-{
-    return enabled_ && rates_.linkDrop > 0 &&
-           u(req_id, (static_cast<std::uint64_t>(attempt) << 2) | copy,
-             3) < rates_.linkDrop;
-}
-
-bool
-ClusterFaultInjector::linkDelay(std::uint64_t req_id, unsigned attempt,
-                                unsigned copy) const
-{
-    return enabled_ && rates_.linkDelay > 0 &&
-           u(req_id, (static_cast<std::uint64_t>(attempt) << 2) | copy,
-             4) < rates_.linkDelay;
 }
 
 } // namespace jord::fault

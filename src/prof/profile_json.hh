@@ -7,8 +7,8 @@
  * keys, fixed %.10g formatting, no locale dependence) makes same-seed
  * runs byte-identical and lets jordprof diff files from either source.
  *
- * The `diff` regression gate of jordprof and jordmon lives here too;
- * each tool supplies only its own per-key rule.
+ * The `diff` regression gate of jordprof lives here too; the tool
+ * supplies only its per-key rule.
  */
 
 #ifndef JORD_PROF_PROFILE_JSON_HH

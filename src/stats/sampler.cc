@@ -7,23 +7,6 @@
 
 namespace jord::stats {
 
-Sampler::Sampler(std::size_t reservoir_cap)
-    : reservoirCap_(reservoir_cap), rngState_(0x853c49e6748fea9bull)
-{
-}
-
-std::uint64_t
-Sampler::nextRand() const
-{
-    // splitmix64 step; const-cast free by keeping state mutable-equivalent
-    // via the caller (record() is non-const; cdf/percentile never draw).
-    auto *self = const_cast<Sampler *>(this);
-    std::uint64_t z = (self->rngState_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 void
 Sampler::record(double value)
 {
@@ -38,15 +21,7 @@ Sampler::record(double value)
         min_ = std::min(min_, value);
         max_ = std::max(max_, value);
     }
-
-    if (reservoirCap_ == 0 || samples_.size() < reservoirCap_) {
-        samples_.push_back(value);
-    } else {
-        // Vitter's algorithm R.
-        std::uint64_t slot = nextRand() % count_;
-        if (slot < reservoirCap_)
-            samples_[slot] = value;
-    }
+    samples_.push_back(value);
     sortedValid_ = false;
 }
 

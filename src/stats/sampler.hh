@@ -2,10 +2,10 @@
  * @file
  * Exact latency sampler with percentile and CDF extraction.
  *
- * Stores every recorded sample (optionally capped with uniform reservoir
- * sampling) and computes exact order statistics on demand. The evaluation
- * uses P99 latency as the primary metric (§5), so percentile fidelity
- * matters more than memory footprint at the scales we simulate.
+ * Stores every recorded sample and computes exact order statistics on
+ * demand. The evaluation uses P99 latency as the primary metric (§5), so
+ * percentile fidelity matters more than memory footprint at the scales
+ * we simulate.
  */
 
 #ifndef JORD_STATS_SAMPLER_HH
@@ -24,16 +24,10 @@ namespace jord::stats {
 class Sampler
 {
   public:
-    /**
-     * @param reservoir_cap If non-zero, keep at most this many samples via
-     * uniform reservoir sampling (deterministic, seeded internally).
-     */
-    explicit Sampler(std::size_t reservoir_cap = 0);
-
     /** Record one sample. */
     void record(double value);
 
-    /** Number of samples recorded (including any evicted by reservoir). */
+    /** Number of samples recorded. */
     std::uint64_t count() const { return count_; }
 
     /** True if no samples have been recorded. */
@@ -67,19 +61,17 @@ class Sampler
     /** Discard all samples. */
     void reset();
 
-    /** Merge another sampler's retained samples into this one. */
+    /** Merge another sampler's samples into this one. */
     void merge(const Sampler &other);
 
   private:
     std::vector<double> samples_;
-    std::size_t reservoirCap_;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double m2_ = 0.0; // Welford accumulator
     double mean_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-    std::uint64_t rngState_;
 
     /** Sorted copy of samples_ when sortedValid_; otherwise scratch
      * space for percentile()'s selection. */
@@ -87,7 +79,6 @@ class Sampler
     mutable bool sortedValid_ = false;
 
     void ensureSorted() const;
-    std::uint64_t nextRand() const;
 };
 
 } // namespace jord::stats

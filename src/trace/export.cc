@@ -52,27 +52,13 @@ writeChromeTrace(const Tracer &tracer, std::ostream &out)
         return ts;
     };
 
-    // Metadata records label the tracks: one process_name per pid
-    // (pid 0 is the worker unless renamed; fleet traces register one
-    // pid per server), one thread_name per named track under its pid.
-    const auto &processes = tracer.processNames();
-    std::string pid0 = "jord worker";
-    if (auto it = processes.find(0); it != processes.end())
-        pid0 = it->second;
+    // Metadata records label the tracks: one process_name for pid 0,
+    // the worker, and one thread_name per named track.
     out << "{\"traceEvents\":[\n";
     out << "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":"
-           "\"process_name\",\"args\":{\"name\":\""
-        << jsonEscape(pid0) << "\"}}";
-    for (const auto &[pid, name] : processes) {
-        if (pid == 0)
-            continue;
-        out << ",\n{\"ph\":\"M\",\"pid\":" << pid
-            << ",\"tid\":0,\"name\":\"process_name\",\"args\":"
-               "{\"name\":\"" << jsonEscape(name) << "\"}}";
-    }
+           "\"process_name\",\"args\":{\"name\":\"jord worker\"}}";
     for (const auto &[track, name] : tracer.trackNames()) {
-        out << ",\n{\"ph\":\"M\",\"pid\":" << tracer.trackPid(track)
-            << ",\"tid\":" << track
+        out << ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":" << track
             << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
             << jsonEscape(name) << "\"}}";
     }
@@ -88,23 +74,22 @@ writeChromeTrace(const Tracer &tracer, std::ostream &out)
         std::uint32_t id = static_cast<std::uint32_t>(i + 1);
         const char *cat = categoryName(rec.cat);
         const std::string name = jsonEscape(tracer.spanName(rec));
-        unsigned pid = tracer.trackPid(rec.track);
         bool async = rec.cat == Category::Request ||
                      rec.cat == Category::Invoke;
         if (async) {
             // Lifecycle spans overlap on a track; use async events.
-            out << ",\n{\"ph\":\"b\",\"pid\":" << pid << ",\"tid\":"
-                << rec.track << ",\"id\":" << id << ",\"ts\":"
-                << us(rec.start) << ",\"name\":\"" << name
-                << "\",\"cat\":\"" << cat << "\"";
+            out << ",\n{\"ph\":\"b\",\"pid\":0,\"tid\":" << rec.track
+                << ",\"id\":" << id << ",\"ts\":" << us(rec.start)
+                << ",\"name\":\"" << name << "\",\"cat\":\"" << cat
+                << "\"";
             writeArgs(out, id, rec);
-            out << ",\n{\"ph\":\"e\",\"pid\":" << pid << ",\"tid\":"
-                << rec.track << ",\"id\":" << id << ",\"ts\":"
-                << us(rec.end) << ",\"name\":\"" << name
-                << "\",\"cat\":\"" << cat << "\"}";
+            out << ",\n{\"ph\":\"e\",\"pid\":0,\"tid\":" << rec.track
+                << ",\"id\":" << id << ",\"ts\":" << us(rec.end)
+                << ",\"name\":\"" << name << "\",\"cat\":\"" << cat
+                << "\"}";
         } else {
-            out << ",\n{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":"
-                << rec.track << ",\"ts\":" << us(rec.start)
+            out << ",\n{\"ph\":\"X\",\"pid\":0,\"tid\":" << rec.track
+                << ",\"ts\":" << us(rec.start)
                 << ",\"dur\":" << us(rec.end - rec.start)
                 << ",\"name\":\"" << name << "\",\"cat\":\"" << cat
                 << "\"";

@@ -106,25 +106,6 @@ Tracer::setTrackName(unsigned track, const std::string &name)
     trackNames_[track] = name;
 }
 
-void
-Tracer::setProcessName(unsigned pid, const std::string &name)
-{
-    processNames_[pid] = name;
-}
-
-void
-Tracer::setTrackPid(unsigned track, unsigned pid)
-{
-    trackPids_[track] = pid;
-}
-
-unsigned
-Tracer::trackPid(unsigned track) const
-{
-    auto it = trackPids_.find(track);
-    return it == trackPids_.end() ? 0 : it->second;
-}
-
 std::size_t
 Tracer::numOpenSpans() const
 {

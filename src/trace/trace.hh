@@ -136,17 +136,6 @@ class Tracer
     /** Name an export track ("core 3 (executor)"). */
     void setTrackName(unsigned track, const std::string &name);
 
-    /**
-     * Name an export process ("server 3"). The worker tracer keeps
-     * everything in pid 0 ("jord worker"); fleet traces give each
-     * server its own pid so Perfetto renders one labeled group per
-     * server instead of bare numeric pids.
-     */
-    void setProcessName(unsigned pid, const std::string &name);
-
-    /** Assign an export track to a process (default: pid 0). */
-    void setTrackPid(unsigned track, unsigned pid);
-
     // --- Access -----------------------------------------------------
 
     /** Recorded spans, in record order. Chunked arena storage: hot
@@ -166,16 +155,6 @@ class Tracer
     {
         return trackNames_;
     }
-    const std::map<unsigned, std::string> &processNames() const
-    {
-        return processNames_;
-    }
-    const std::map<unsigned, unsigned> &trackPids() const
-    {
-        return trackPids_;
-    }
-    /** The export pid of @p track (0 unless assigned). */
-    unsigned trackPid(unsigned track) const;
     double freqGhz() const { return freqGhz_; }
     std::size_t numSpans() const { return spans_.size(); }
 
@@ -193,8 +172,6 @@ class Tracer
     std::unordered_map<std::string, std::uint32_t> nameIds_;
     std::map<std::string, std::string> meta_;
     std::map<unsigned, std::string> trackNames_;
-    std::map<unsigned, std::string> processNames_;
-    std::map<unsigned, unsigned> trackPids_;
 
     std::uint32_t intern(std::string_view name);
 };

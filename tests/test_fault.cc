@@ -99,6 +99,8 @@ TEST(FaultPlanDeathTest, RejectsMalformedSpecs)
     EXPECT_DEATH(FaultPlan::parse("bogus=0.1"), "key");
     EXPECT_DEATH(FaultPlan::parse("Fn:seed=3"), "seed");
     EXPECT_DEATH(FaultPlan::parse("crash"), "expected");
+    EXPECT_DEATH(FaultPlan::parse("crash=0.1;Fn:crash=0.2;Fn:drop=1"),
+                 "duplicate clause for function 'Fn'");
 }
 
 TEST(FaultInjectorDeathTest, RejectsUnknownFunctionOverride)
@@ -363,114 +365,6 @@ TEST_F(FaultRuntimeTest, SameSeedFaultRunsAreByteIdentical)
     EXPECT_EQ(ra.retries, rb.retries);
     EXPECT_EQ(ra.faultsInjected, rb.faultsInjected);
     EXPECT_EQ(ra.abortedInvocations, rb.abortedInvocations);
-}
-
-// --- Cluster-scope plan grammar ---------------------------------------------
-
-TEST(FaultPlanCluster, ParsesClusterClause)
-{
-    FaultPlan plan = FaultPlan::parse(
-        "crash=0.01,seed=9;cluster:crash=0.05,restart_ms=2,"
-        "recover_us=10,gray=0.1,grayx=3,window_ms=0.5,drop=0.02,"
-        "delay=0.03,delay_us=150,gray_server=2,crash_at_ms=4,"
-        "crash_frac=0.25");
-    EXPECT_DOUBLE_EQ(plan.defaults.crash, 0.01);
-    EXPECT_EQ(plan.seed, 9u);
-    EXPECT_DOUBLE_EQ(plan.cluster.serverCrash, 0.05);
-    EXPECT_DOUBLE_EQ(plan.cluster.restartMs, 2.0);
-    EXPECT_DOUBLE_EQ(plan.cluster.recoverUsPerSlot, 10.0);
-    EXPECT_DOUBLE_EQ(plan.cluster.gray, 0.1);
-    EXPECT_DOUBLE_EQ(plan.cluster.grayMult, 3.0);
-    EXPECT_DOUBLE_EQ(plan.cluster.windowMs, 0.5);
-    EXPECT_DOUBLE_EQ(plan.cluster.linkDrop, 0.02);
-    EXPECT_DOUBLE_EQ(plan.cluster.linkDelay, 0.03);
-    EXPECT_DOUBLE_EQ(plan.cluster.linkDelayUs, 150.0);
-    EXPECT_EQ(plan.cluster.grayServer, 2);
-    EXPECT_DOUBLE_EQ(plan.cluster.crashAtMs, 4.0);
-    EXPECT_DOUBLE_EQ(plan.cluster.crashFrac, 0.25);
-    EXPECT_TRUE(plan.cluster.any());
-    EXPECT_TRUE(plan.enabled());
-}
-
-TEST(FaultPlanCluster, ZeroRateClusterClauseIsInvisible)
-{
-    // A cluster clause with every rate at zero parses but arms
-    // nothing: plans and injectors built from it are bit-for-bit
-    // equivalent to no plan at all.
-    FaultPlan plan = FaultPlan::parse("cluster:crash=0,gray=0");
-    EXPECT_FALSE(plan.cluster.any());
-    EXPECT_FALSE(plan.enabled());
-    fault::ClusterFaultInjector inj;
-    inj.configure(plan, 42);
-    EXPECT_FALSE(inj.enabled());
-}
-
-TEST(FaultPlanClusterDeathTest, RejectsMalformedClusterSpecs)
-{
-    // Golden messages: each rejection pinpoints the offending key and
-    // value so a mistyped chaos plan fails loudly, not silently.
-    EXPECT_DEATH(FaultPlan::parse("cluster:bogus=0.1"),
-                 "unknown cluster key 'bogus'");
-    EXPECT_DEATH(FaultPlan::parse("cluster:crash=abc"),
-                 "bad value 'abc' for key 'cluster:crash'");
-    EXPECT_DEATH(FaultPlan::parse("cluster:crash=1.5"),
-                 "'cluster:crash=1.5' out of \\[0,1\\]");
-    EXPECT_DEATH(FaultPlan::parse("cluster:grayx=0.5"),
-                 "grayx must be >= 1");
-    EXPECT_DEATH(FaultPlan::parse("cluster:window_ms=0"),
-                 "window_ms must be > 0");
-    EXPECT_DEATH(FaultPlan::parse("cluster:crash=0.1;cluster:gray=1"),
-                 "duplicate cluster clause");
-    EXPECT_DEATH(FaultPlan::parse("crash=0.1;Fn:crash=0.2;Fn:drop=1"),
-                 "duplicate clause for function 'Fn'");
-}
-
-TEST(ClusterFaultInjector, DecisionsAreAPureHash)
-{
-    FaultPlan plan = FaultPlan::parse(
-        "seed=11;cluster:crash=0.3,gray=0.3,drop=0.3,delay=0.3");
-    fault::ClusterFaultInjector a, b;
-    a.configure(plan, 1);
-    b.configure(plan, 2); // plan seed wins over the fallback
-    ASSERT_TRUE(a.enabled());
-    for (std::uint32_t s = 0; s < 8; ++s) {
-        for (std::uint64_t w = 0; w < 64; ++w) {
-            EXPECT_EQ(a.crashes(s, w), b.crashes(s, w));
-            EXPECT_EQ(a.grayWindow(s, w), b.grayWindow(s, w));
-            if (a.crashes(s, w)) {
-                EXPECT_EQ(a.crashOffset(s, w), b.crashOffset(s, w));
-            }
-        }
-    }
-    for (std::uint64_t id = 0; id < 256; ++id) {
-        EXPECT_EQ(a.linkDrop(id, 0, 0), b.linkDrop(id, 0, 0));
-        EXPECT_EQ(a.linkDelay(id, 0, 1), b.linkDelay(id, 0, 1));
-    }
-}
-
-TEST(ClusterFaultInjector, SitesAndAttemptsAreIndependentDraws)
-{
-    // A request's link fate must differ across attempts and copies
-    // (or a retry/hedge of a dropped dispatch would be dropped
-    // forever), and crash/gray draws must not alias each other.
-    FaultPlan plan =
-        FaultPlan::parse("seed=3;cluster:crash=0.5,gray=0.5,drop=0.5");
-    fault::ClusterFaultInjector inj;
-    inj.configure(plan, 42);
-    bool attempt_diverged = false, copy_diverged = false,
-         site_diverged = false;
-    for (std::uint64_t id = 0; id < 512; ++id) {
-        attempt_diverged |=
-            inj.linkDrop(id, 0, 0) != inj.linkDrop(id, 1, 0);
-        copy_diverged |=
-            inj.linkDrop(id, 0, 0) != inj.linkDrop(id, 0, 1);
-    }
-    for (std::uint32_t s = 0; s < 8; ++s)
-        for (std::uint64_t w = 0; w < 64; ++w)
-            site_diverged |= inj.crashes(s, w) != inj.grayWindow(s, w);
-    EXPECT_TRUE(attempt_diverged);
-    EXPECT_TRUE(copy_diverged);
-    EXPECT_TRUE(site_diverged);
 }
 
 TEST_F(FaultRuntimeTest, RerunOnSameWorkerStaysClean)

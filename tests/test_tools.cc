@@ -309,8 +309,8 @@ TEST(JordsimCluster, WorkerOnlyFlagsAreRejectedInClusterMode)
 {
     // Each worker-only knob must fail loudly under --cluster with a
     // one-line pointer, not be silently ignored.
-    const char *flags[] = {"--timeout-us 300", "--max-retries 2",
-                           "--retry-backoff-us 10"};
+    const char *flags[] = {"--fault-plan crash=0.1", "--timeout-us 300",
+                           "--max-retries 2", "--retry-backoff-us 10"};
     for (const char *flag : flags) {
         std::string out;
         EXPECT_NE(runCapture(kJordsim + " --cluster 2 --duration-ms 2 " +
@@ -327,15 +327,9 @@ TEST(JordsimCluster, WorkerOnlyFlagsAreRejectedInClusterMode)
 
 TEST(JordsimCluster, FleetOnlyFlagsAreRejectedInWorkerMode)
 {
-    const char *flags[] = {"--lb jsq",         "--traffic diurnal",
-                           "--duration-ms 4",  "--slo-us 100",
-                           "--autoscale 1..4",  "--hedge-us 20",
-                           "--outlier-eject",  "--retry-budget 0.2",
-                           "--health-check",   "--breaker",
-                           "--obs-interval-ms 1", "--obs-out /tmp/x",
-                           "--obs-trace-out /tmp/x",
-                           "--obs-slo-target 0.99",
-                           "--obs-burn-threshold 2"};
+    const char *flags[] = {"--lb jsq", "--traffic diurnal",
+                           "--duration-ms 4", "--slo-us 100",
+                           "--autoscale 1..4"};
     for (const char *flag : flags) {
         std::string out;
         EXPECT_NE(runCapture(kJordsim + " --requests 100 " + flag, out),
@@ -348,200 +342,45 @@ TEST(JordsimCluster, FleetOnlyFlagsAreRejectedInWorkerMode)
     }
 }
 
-TEST(JordsimCluster, FaultPlanScopeIsCheckedAgainstMode)
+TEST(JordsimModes, JsonIsRejectedWhereNoModeWritesIt)
 {
-    // Function-scope clauses drive the in-worker injector; the
-    // cluster clause drives the fleet injector. Each is rejected in
-    // the other mode instead of silently doing nothing.
-    std::string out;
-    EXPECT_NE(runCapture(kJordsim +
-                             " --cluster 2 --duration-ms 2"
-                             " --fault-plan crash=0.1",
-                         out),
-              0);
-    EXPECT_NE(out.find("function-scope clauses are worker-only"),
-              std::string::npos)
-        << out;
-    EXPECT_NE(runCapture(kJordsim +
-                             " --requests 100"
-                             " --fault-plan cluster:crash=0.1",
-                         out),
-              0);
-    EXPECT_NE(out.find("the 'cluster:' clause requires --cluster N"),
-              std::string::npos)
-        << out;
-}
-
-TEST(JordsimCluster, ChaosRunsAreDeterministicAndConserving)
-{
-    std::string run =
-        kJordsim +
-        " --cluster 2 --mrps 1.2 --duration-ms 4 --requests 2000"
-        " --fault-plan cluster:crash=0.05,gray=0.1,grayx=4"
-        " --health-check --hedge-us 20 --retry-budget 0.2"
-        " --outlier-eject --breaker --csv";
-    std::string csv, again;
-    ASSERT_EQ(runCapture(run, csv), 0);
-    ASSERT_EQ(runCapture(run, again), 0);
-    EXPECT_EQ(csv, again);
-    // The chaos columns are present and the run saw real faults.
-    EXPECT_NE(csv.find("crashes"), std::string::npos);
-    EXPECT_NE(csv.find("ttr_us"), std::string::npos);
-}
-
-// --- jordsim fleet observability --------------------------------------------
-
-namespace {
-
-const std::string kJordmon = JORD_JORDMON_BIN;
-
-/** A chaos fleet run with the full obs plane on. */
-std::string
-obsRun(const std::string &base, int jobs, const std::string &faults)
-{
-    return kJordsim +
-           " --cluster 2 --mrps 1.2 --duration-ms 4 --requests 2000"
-           " --health-check --csv --jobs " + std::to_string(jobs) +
-           " " + faults + " --obs-interval-ms 0.25 --obs-out " +
-           shellQuote(base) + " --obs-trace-out " +
-           shellQuote(base + ".trace.json") + " --metrics-out " +
-           shellQuote(base + ".metrics.csv");
-}
-
-const std::string kGrayPlan =
-    "--fault-plan 'cluster:gray_server=1,grayx=20'";
-
-} // namespace
-
-TEST(JordsimObs, ArtifactsAreByteIdenticalAcrossJobs)
-{
-    std::string a = tmpPath("obs_j1"), b = tmpPath("obs_j4");
-    ASSERT_EQ(runCmd(obsRun(a, 1, kGrayPlan)), 0);
-    ASSERT_EQ(runCmd(obsRun(b, 4, kGrayPlan)), 0);
-    for (const char *ext : {".windows.csv", ".events.csv",
-                            ".trace.json", ".metrics.csv"}) {
-        std::string fa = slurp(a + ext), fb = slurp(b + ext);
-        EXPECT_FALSE(fa.empty()) << ext;
-        EXPECT_EQ(fa, fb) << ext;
+    // Only --cluster and --seed-sweep write --json; a single run and a
+    // load sweep reject it instead of exiting 0 with no file.
+    const char *modes[] = {"", "--sweep 0.5:1.0:2"};
+    for (const char *mode : modes) {
+        std::string json = tmpPath("json_rejected.json");
+        std::remove(json.c_str());
+        std::string out;
+        EXPECT_NE(runCapture(kJordsim +
+                                 " --workload Hotel --requests 300 " +
+                                 mode + " --json " + shellQuote(json),
+                             out),
+                  0)
+            << mode;
+        EXPECT_NE(out.find("does not support --json"), std::string::npos)
+            << out;
+        EXPECT_FALSE(std::filesystem::exists(json)) << mode;
     }
-    // The artifacts carry the advertised content: windowed rows, the
-    // gray incident, labeled per-server trace processes, and the
-    // obs-namespaced registry counters.
-    EXPECT_NE(slurp(a + ".windows.csv").find("window,start_us"),
-              std::string::npos);
-    EXPECT_NE(slurp(a + ".events.csv").find(",gray,1,,"),
-              std::string::npos);
-    std::string fleet_trace = slurp(a + ".trace.json");
-    EXPECT_NE(fleet_trace.find("\"jord fleet\""), std::string::npos);
-    EXPECT_NE(fleet_trace.find("\"server 1\""), std::string::npos);
-    EXPECT_NE(slurp(a + ".metrics.csv").find("obs.windows"),
-              std::string::npos);
-}
-
-TEST(JordsimObs, ObservingDoesNotPerturbTheSimulation)
-{
-    // The observability plane is read-only: the cluster CSV of an
-    // observed run is byte-identical to the same run with the plane
-    // off.
-    std::string cmd = kJordsim +
-                      " --cluster 2 --mrps 1.2 --duration-ms 4"
-                      " --requests 2000 --health-check --csv " +
-                      kGrayPlan;
-    std::string off = tmpPath("obs_off.csv");
-    std::string on = tmpPath("obs_on.csv");
-    ASSERT_EQ(std::system(
-                  (cmd + " 2>/dev/null > " + shellQuote(off)).c_str()),
-              0);
-    ASSERT_EQ(std::system((cmd + " --obs-interval-ms 0.25 --obs-out " +
-                           shellQuote(tmpPath("obs_on_art")) +
-                           " 2>/dev/null > " + shellQuote(on))
-                              .c_str()),
-              0);
-    EXPECT_FALSE(slurp(off).empty());
-    EXPECT_EQ(slurp(off), slurp(on));
-}
-
-TEST(JordsimObs, ObsFlagsValidateAndRequireTheWindow)
-{
-    std::string out;
-    EXPECT_NE(runCapture(kJordsim +
-                             " --cluster 2 --duration-ms 2 --obs-out "
-                             "/tmp/jord_obs_x",
-                         out),
-              0);
-    EXPECT_NE(out.find("--obs-out requires --obs-interval-ms"),
-              std::string::npos)
-        << out;
-    EXPECT_NE(runCapture(kJordsim +
-                             " --cluster 2 --duration-ms 2 "
-                             "--obs-slo-target 0.9",
-                         out),
-              0);
-    EXPECT_NE(out.find("require --obs-interval-ms"),
-              std::string::npos);
-    EXPECT_NE(runCapture(kJordsim +
-                             " --cluster 2 --duration-ms 2 "
-                             "--obs-interval-ms -1",
-                         out),
-              0);
-    EXPECT_NE(runCapture(kJordsim +
-                             " --cluster 2 --duration-ms 2 "
-                             "--obs-interval-ms 1 --obs-slo-target 2",
-                         out),
-              0);
-    // --help documents the plane.
-    ASSERT_EQ(runCapture(kJordsim + " --help", out), 0);
-    EXPECT_NE(out.find("--obs-interval-ms"), std::string::npos);
-    EXPECT_NE(out.find("--obs-out"), std::string::npos);
-    EXPECT_NE(out.find("--obs-trace-out"), std::string::npos);
-}
-
-TEST(JordmonTool, ReportJoinsIncidentsAndDiffGatesRegressions)
-{
-    std::string gray = tmpPath("mon_gray"),
-                clean = tmpPath("mon_clean");
-    ASSERT_EQ(runCmd(obsRun(gray, 1, kGrayPlan)), 0);
-    ASSERT_EQ(runCmd(obsRun(clean, 1, "")), 0);
-
-    std::string gray_json = tmpPath("mon_gray.json");
-    std::string clean_json = tmpPath("mon_clean.json");
-    std::string heatmap = tmpPath("mon_heat.csv");
-    std::string out;
-    ASSERT_EQ(runCapture(kJordmon + " report " + shellQuote(gray) +
-                             " --json " + shellQuote(gray_json) +
-                             " --heatmap " + shellQuote(heatmap),
-                         out),
-              0);
-    EXPECT_NE(out.find("incidents: 1"), std::string::npos) << out;
-    EXPECT_NE(out.find("(0 unmatched)"), std::string::npos);
-    EXPECT_NE(out.find("gray"), std::string::npos);
-    EXPECT_EQ(slurp(heatmap).rfind("server,w0", 0), 0u);
-    ASSERT_EQ(runCmd(kJordmon + " report " + shellQuote(clean) +
-                     " --json " + shellQuote(clean_json)),
-              0);
-
-    // Self-diff passes; clean -> chaos regresses (burn and TTR grow
-    // from a zero baseline); chaos -> clean improves.
-    EXPECT_EQ(runCmd(kJordmon + " diff " + shellQuote(gray_json) +
-                     " " + shellQuote(gray_json)),
-              0);
-    EXPECT_EQ(runCmd(kJordmon + " diff " + shellQuote(clean_json) +
-                     " " + shellQuote(gray_json)),
-              1);
-    EXPECT_EQ(runCmd(kJordmon + " diff " + shellQuote(gray_json) +
-                     " " + shellQuote(clean_json)),
-              0);
-
-    // Usage and I/O errors are loud.
-    EXPECT_EQ(runCmd(kJordmon), 2);
-    EXPECT_NE(runCmd(kJordmon + " report " +
-                     shellQuote(tmpPath("mon_nonexistent"))),
-              0);
-    std::string garbage = tmpPath("mon_garbage.json");
-    spit(garbage, "{\"mon.incidents\": 1");
-    EXPECT_NE(runCmd(kJordmon + " diff " + shellQuote(garbage) + " " +
-                     shellQuote(garbage)),
-              0);
+    // The two modes the help names do write it.
+    const char *writers[] = {"--seed-sweep 1..2",
+                             "--cluster 2 --duration-ms 2"};
+    for (const char *mode : writers) {
+        std::string json = tmpPath("json_written.json");
+        std::remove(json.c_str());
+        ASSERT_EQ(runCmd(kJordsim + " --workload Hotel --requests 300 " +
+                         mode + " --json " + shellQuote(json)),
+                  0)
+            << mode;
+        EXPECT_EQ(slurp(json).rfind("{", 0), 0u) << mode;
+    }
+    // --help names both of them on the --json line.
+    std::string help;
+    ASSERT_EQ(runCapture(kJordsim + " --help", help), 0);
+    std::size_t at = help.find("--json FILE");
+    ASSERT_NE(at, std::string::npos);
+    std::string line = help.substr(at, help.find("--trace-out", at) - at);
+    EXPECT_NE(line.find("--cluster"), std::string::npos) << line;
+    EXPECT_NE(line.find("--seed-sweep"), std::string::npos) << line;
 }
 
 // --- detlint static analyzer ------------------------------------------------

@@ -267,44 +267,6 @@ TEST(TraceGolden, ExportIsWellFormed)
     EXPECT_EQ(json.back(), '\n');
 }
 
-TEST(TraceGolden, ExportLabelsProcessesAndTracksForPerfetto)
-{
-    trace::Tracer tracer;
-    tracer.setProcessName(2, "server 1");
-    tracer.setTrackPid(3, 2);
-    tracer.setTrackName(3, "server 1");
-    tracer.complete("queue", trace::Category::Dispatch, 3, 10, 5);
-
-    std::string json = trace::chromeTraceJson(tracer);
-    // Pid 0 keeps the worker default until renamed; the extra pid is
-    // announced with its own process_name metadata record.
-    EXPECT_NE(json.find("{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":"
-                        "\"process_name\",\"args\":{\"name\":"
-                        "\"jord worker\"}}"),
-              std::string::npos)
-        << json;
-    EXPECT_NE(json.find("{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":"
-                        "\"process_name\",\"args\":{\"name\":"
-                        "\"server 1\"}}"),
-              std::string::npos);
-    // The named track is announced under its owning pid, and the
-    // span lands on that pid rather than the default 0.
-    EXPECT_NE(json.find("{\"ph\":\"M\",\"pid\":2,\"tid\":3,\"name\":"
-                        "\"thread_name\",\"args\":{\"name\":"
-                        "\"server 1\"}}"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\",\"pid\":2,\"tid\":3,"),
-              std::string::npos);
-    EXPECT_EQ(tracer.trackPid(3), 2u);
-    EXPECT_EQ(tracer.trackPid(0), 0u);
-
-    // Renaming pid 0 replaces the default label (fleet traces).
-    tracer.setProcessName(0, "jord fleet");
-    json = trace::chromeTraceJson(tracer);
-    EXPECT_NE(json.find("\"jord fleet\""), std::string::npos);
-    EXPECT_EQ(json.find("\"jord worker\""), std::string::npos);
-}
-
 // --- Trace-file integrity ----------------------------------------------------
 
 TEST(TraceIntegrity, CompleteButEmptyTraceIsAcceptedTruncationIsNot)

@@ -28,7 +28,6 @@
 #include "check/check.hh"
 #include "cluster/cluster.hh"
 #include "fault/fault.hh"
-#include "obs/obs.hh"
 #include "par/par.hh"
 #include "prof/pmu.hh"
 #include "prof/profile_json.hh"
@@ -85,17 +84,6 @@ struct Options {
     double sloUs = 0;
     bool autoscale = false;
     unsigned autoscaleLo = 0, autoscaleHi = 0;
-    double hedgeUs = 0;
-    bool outlierEject = false;
-    double ejectMult = 3.0;
-    double retryBudget = 0;
-    bool healthCheck = false;
-    bool breaker = false;
-    double obsIntervalMs = 0;
-    std::string obsOut;
-    std::string obsTraceOut;
-    double obsSloTarget = 0.99;
-    double obsBurnThreshold = 2.0;
     /** Explicitly-given flags that only make sense in one mode; the
      * other mode rejects them instead of silently ignoring them. */
     std::vector<std::string> workerOnlyFlags;
@@ -164,54 +152,6 @@ printUsage()
         "                      A..B active servers (initial count is\n"
         "                      --cluster N clamped into [A, B])\n"
         "\n"
-        "fleet fault tolerance (--cluster only; all off by default):\n"
-        "  --fault-plan SPEC   in fleet mode the plan's 'cluster:'\n"
-        "                      clause injects fleet chaos: crash\n"
-        "                      (per-server hazard probability per\n"
-        "                      window_ms window), restart_ms +\n"
-        "                      recover_us (Groundhog-style restart\n"
-        "                      cost per re-warmed slot), gray / grayx\n"
-        "                      (slow-but-alive windows), drop / delay\n"
-        "                      / delay_us (LB<->server link faults),\n"
-        "                      gray_server=K (one scripted gray\n"
-        "                      server), crash_at_ms + crash_frac (a\n"
-        "                      scripted mass crash). e.g.\n"
-        "                      \"cluster:crash=0.02,gray=0.05,grayx=4\"\n"
-        "  --hedge-us X        hedge a still-outstanding request to a\n"
-        "                      second server after X us; first\n"
-        "                      completion wins, the loser is cancelled\n"
-        "  --outlier-eject[=M] eject servers whose interval P99\n"
-        "                      exceeds M x the fleet median (default\n"
-        "                      M=3), with probation re-admission\n"
-        "  --retry-budget F    retry failed requests while total\n"
-        "                      retries stay under F x generated\n"
-        "                      primaries (storm-proof retry cap)\n"
-        "  --health-check      heartbeat failure detector: stop\n"
-        "                      routing to a server after 3 missed\n"
-        "                      beats, re-admit after restart\n"
-        "  --breaker           per-(server,tenant) circuit breakers\n"
-        "                      feeding the shed path\n"
-        "\n"
-        "fleet observability (--cluster only; all off by default,\n"
-        "and off leaves every other output byte-identical):\n"
-        "  --obs-interval-ms X enable windowed telemetry, the SLO\n"
-        "                      burn-rate monitor and the incident log\n"
-        "                      with X ms windows\n"
-        "  --obs-out BASE      write BASE.windows.csv (per-server,\n"
-        "                      per-tenant interval telemetry) and\n"
-        "                      BASE.events.csv (ground-truth chaos\n"
-        "                      incidents + SLO alerts) for jordmon;\n"
-        "                      requires --obs-interval-ms\n"
-        "  --obs-trace-out FILE  write the fleet request trace\n"
-        "                      (Chrome trace-event JSON, one named\n"
-        "                      track per server) \n"
-        "  --obs-slo-target F  SLO objective: target fraction of\n"
-        "                      requests meeting their tenant SLO; the\n"
-        "                      error budget is 1-F (default 0.99)\n"
-        "  --obs-burn-threshold X  alert when both the fast (5-window)\n"
-        "                      and slow (60-window) burn rates exceed\n"
-        "                      X times the error budget (default 2)\n"
-        "\n"
         "host parallelism:\n"
         "  --jobs N            fan independent runs (sweep points,\n"
         "                      seeds) across N host threads; 0 = one\n"
@@ -249,13 +189,10 @@ printUsage()
         "                      orchestrator's external queue holds N\n"
         "                      requests (0 = never shed)\n"
         "\n"
-        "Worker-only flags (--timeout-us, --max-retries,\n"
+        "Worker-only flags (--fault-plan, --timeout-us, --max-retries,\n"
         "--retry-backoff-us) are rejected with --cluster, and\n"
         "fleet-only flags (--lb, --traffic, --duration-ms, --slo-us,\n"
-        "--autoscale, --hedge-us, --outlier-eject, --retry-budget,\n"
-        "--health-check, --breaker, --obs-interval-ms, --obs-out,\n"
-        "--obs-trace-out, --obs-slo-target, --obs-burn-threshold) are\n"
-        "rejected without it.\n"
+        "--autoscale) are rejected without it.\n"
         "\n"
         "checking (JordSan, all off by default):\n"
         "  --check[=FAMILIES]  run with the isolation sanitizer on.\n"
@@ -286,8 +223,8 @@ printUsage()
         "\n"
         "output:\n"
         "  --csv               machine-readable output\n"
-        "  --json FILE         write a flat JSON summary (seed-sweep\n"
-        "                      mode only)\n"
+        "  --json FILE         write a flat JSON summary (--cluster\n"
+        "                      and --seed-sweep modes only)\n"
         "  --trace-out FILE    write a Chrome trace-event / Perfetto\n"
         "                      JSON trace of the run\n"
         "  --metrics-out FILE  write the metrics registry as CSV\n"
@@ -359,9 +296,10 @@ parseArgs(int argc, char **argv)
                 sim::fatal("--prof-hz expects a rate >= 0, got %g",
                            opt.profHz);
         }
-        else if (flag == "--fault-plan")
+        else if (flag == "--fault-plan") {
             opt.faultPlan = value();
-        else if (flag == "--timeout-us") {
+            opt.workerOnlyFlags.push_back(flag);
+        } else if (flag == "--timeout-us") {
             opt.timeoutUs = std::strtod(value().c_str(), nullptr);
             opt.workerOnlyFlags.push_back(flag);
         } else if (flag == "--max-retries") {
@@ -422,66 +360,6 @@ parseArgs(int argc, char **argv)
             opt.autoscaleLo = static_cast<unsigned>(lo);
             opt.autoscaleHi = static_cast<unsigned>(hi);
             opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--hedge-us") {
-            opt.hedgeUs = std::strtod(value().c_str(), nullptr);
-            if (opt.hedgeUs < 0)
-                sim::fatal("--hedge-us expects a delay >= 0, got %g",
-                           opt.hedgeUs);
-            opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--outlier-eject") {
-            // Bare --outlier-eject uses the default multiple;
-            // --outlier-eject=MULT overrides it.
-            opt.outlierEject = true;
-            if (has_inline) {
-                opt.ejectMult =
-                    std::strtod(inline_val.c_str(), nullptr);
-                if (opt.ejectMult <= 1.0)
-                    sim::fatal("--outlier-eject expects a P99 multiple "
-                               "> 1, got '%s'",
-                               inline_val.c_str());
-            }
-            opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--retry-budget") {
-            opt.retryBudget = std::strtod(value().c_str(), nullptr);
-            if (opt.retryBudget < 0)
-                sim::fatal("--retry-budget expects a fraction >= 0, "
-                           "got %g",
-                           opt.retryBudget);
-            opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--health-check") {
-            opt.healthCheck = true;
-            opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--breaker") {
-            opt.breaker = true;
-            opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--obs-interval-ms") {
-            opt.obsIntervalMs = std::strtod(value().c_str(), nullptr);
-            if (opt.obsIntervalMs <= 0)
-                sim::fatal("--obs-interval-ms expects a window > 0, "
-                           "got %g",
-                           opt.obsIntervalMs);
-            opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--obs-out") {
-            opt.obsOut = value();
-            opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--obs-trace-out") {
-            opt.obsTraceOut = value();
-            opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--obs-slo-target") {
-            opt.obsSloTarget = std::strtod(value().c_str(), nullptr);
-            if (opt.obsSloTarget <= 0 || opt.obsSloTarget >= 1)
-                sim::fatal("--obs-slo-target expects a fraction in "
-                           "(0, 1), got %g",
-                           opt.obsSloTarget);
-            opt.clusterOnlyFlags.push_back(flag);
-        } else if (flag == "--obs-burn-threshold") {
-            opt.obsBurnThreshold =
-                std::strtod(value().c_str(), nullptr);
-            if (opt.obsBurnThreshold <= 0)
-                sim::fatal("--obs-burn-threshold expects a multiple "
-                           "> 0, got %g",
-                           opt.obsBurnThreshold);
-            opt.clusterOnlyFlags.push_back(flag);
         } else if (flag == "--seed-sweep") {
             std::string spec = value();
             unsigned long long lo = 0, hi = 0;
@@ -525,6 +403,9 @@ makeWorkerConfig(const Options &opt)
 int
 runOnce(const Options &opt)
 {
+    if (!opt.jsonOut.empty())
+        sim::fatal("a single run does not support --json (only "
+                   "--cluster and --seed-sweep write it)");
     workloads::Workload w = workloads::makeByName(opt.workload);
     WorkerConfig cfg = makeWorkerConfig(opt);
     WorkerServer worker(cfg, w.registry);
@@ -729,26 +610,13 @@ runCluster(const Options &opt, par::ThreadPool *pool)
     if (!opt.traceOut.empty() || !opt.profOut.empty() ||
         !opt.pmuOut.empty())
         sim::fatal("--cluster does not support --trace-out, "
-                   "--prof-out or --pmu-out (the fleet trace is "
-                   "--obs-trace-out)");
+                   "--prof-out or --pmu-out");
     if (opt.check.any())
         sim::fatal("--cluster does not support --check");
-    if (!opt.obsOut.empty() && opt.obsIntervalMs <= 0)
-        sim::fatal("--obs-out requires --obs-interval-ms (the "
-                   "windows/events artifacts are interval streams)");
-    if (opt.obsIntervalMs <= 0 &&
-        (opt.obsSloTarget != 0.99 || opt.obsBurnThreshold != 2.0))
-        sim::fatal("--obs-slo-target / --obs-burn-threshold tune the "
-                   "SLO monitor and require --obs-interval-ms");
 
     workloads::Workload w = workloads::makeByName(opt.workload);
     cluster::ClusterConfig cfg;
     cfg.worker = makeWorkerConfig(opt);
-    // The fault plan's cluster: clause drives fleet chaos; the
-    // calibration runs measure a healthy server, so the plan never
-    // reaches the per-worker injector here.
-    cfg.faultPlan = cfg.worker.faultPlan;
-    cfg.worker.faultPlan = fault::FaultPlan{};
     // --shed-cap is the *fleet-level* admission cap here; the
     // calibration runs measure the server itself unshedded.
     cfg.worker.shedCap = 0;
@@ -766,74 +634,17 @@ runCluster(const Options &opt, par::ThreadPool *pool)
         cfg.autoscale.minServers = opt.autoscaleLo;
         cfg.autoscale.maxServers = opt.autoscaleHi;
     }
-    cfg.resilience.hedgeUs = opt.hedgeUs;
-    cfg.resilience.outlierEject = opt.outlierEject;
-    cfg.resilience.ejectMult = opt.ejectMult;
-    cfg.resilience.retryBudgetFrac = opt.retryBudget;
-    cfg.resilience.healthCheck = opt.healthCheck;
-    cfg.resilience.breaker = opt.breaker;
 
     cluster::ServerModel model = cluster::calibrateServer(
         w, cfg.worker, cfg.calibration, pool);
-    cluster::ClusterSim sim(cfg, model);
+    cluster::ClusterResult res = cluster::ClusterSim(cfg, model).run();
 
-    obs::ObsConfig ocfg;
-    ocfg.intervalUs = opt.obsIntervalMs * 1000.0;
-    ocfg.trace = !opt.obsTraceOut.empty();
-    ocfg.sloTargetFrac = opt.obsSloTarget;
-    ocfg.burnThreshold = opt.obsBurnThreshold;
-    std::optional<obs::FleetObserver> observer;
-    if (ocfg.enabled()) {
-        // The observer sees the resolved fleet: every server the
-        // autoscaler could ever enlist, and the finalized tenant list
-        // with their absolute SLOs.
-        cfg.traffic.finalize();
-        std::vector<obs::ObsTenant> tenants;
-        for (const cluster::TenantSpec &spec : cfg.traffic.tenants)
-            tenants.push_back(obs::ObsTenant{
-                spec.name, sim.sloUs() * spec.sloMultiplier});
-        observer.emplace(ocfg, sim.maxServers(), std::move(tenants),
-                         model.concurrency,
-                         cfg.worker.machine.freqGhz);
-        sim.setObserver(&*observer);
-    }
-
-    cluster::ClusterResult res = sim.run();
-
-    auto openOut = [](const std::string &path) {
-        std::ofstream out(path);
-        if (!out)
-            sim::fatal("cannot open '%s'", path.c_str());
-        return out;
-    };
-    if (observer && !opt.obsOut.empty()) {
-        {
-            auto out = openOut(opt.obsOut + ".windows.csv");
-            observer->writeWindowsCsv(out);
-        }
-        {
-            auto out = openOut(opt.obsOut + ".events.csv");
-            observer->writeEventsCsv(out);
-        }
-        std::fprintf(stderr,
-                     "wrote %zu telemetry windows and %zu events to "
-                     "%s.{windows,events}.csv\n",
-                     observer->windows().size(),
-                     observer->events().size(), opt.obsOut.c_str());
-    }
-    if (observer && !opt.obsTraceOut.empty()) {
-        auto out = openOut(opt.obsTraceOut);
-        trace::writeChromeTrace(*observer->tracer(), out);
-        std::fprintf(stderr, "wrote %zu fleet spans to %s\n",
-                     observer->tracer()->numSpans(),
-                     opt.obsTraceOut.c_str());
-    }
     if (!opt.metricsOut.empty()) {
         trace::MetricsRegistry registry;
         cluster::attachClusterMetrics(res, registry);
-        if (observer)
-            observer->attachMetrics(registry);
-        auto out = openOut(opt.metricsOut);
+        std::ofstream out(opt.metricsOut);
+        if (!out)
+            sim::fatal("cannot open '%s'", opt.metricsOut.c_str());
         registry.writeCsv(out);
         std::fprintf(stderr, "wrote %zu metrics to %s\n",
                      registry.size(), opt.metricsOut.c_str());
@@ -846,18 +657,6 @@ runCluster(const Options &opt, par::ThreadPool *pool)
         json["cluster.p99_us"] = res.p99Us;
         json["cluster.cost_server_s"] = res.costServerSeconds;
         json["cluster.shed"] = static_cast<double>(res.shed);
-        json["cluster.failed"] = static_cast<double>(res.failed);
-        json["cluster.retries"] = static_cast<double>(res.retries);
-        json["cluster.hedges"] = static_cast<double>(res.hedges);
-        json["cluster.hedge_wins"] =
-            static_cast<double>(res.hedgeWins);
-        json["cluster.crashes"] = static_cast<double>(res.crashes);
-        json["cluster.restarts"] = static_cast<double>(res.restarts);
-        json["cluster.ejections"] =
-            static_cast<double>(res.ejections);
-        json["cluster.breaker_opens"] =
-            static_cast<double>(res.breakerOpens);
-        json["cluster.ttr_us"] = res.timeToRecoverUs;
         json["cluster.slo_burn"] = res.sloBurn;
         std::ofstream out(opt.jsonOut);
         if (!out)
@@ -869,13 +668,10 @@ runCluster(const Options &opt, par::ThreadPool *pool)
         std::printf("workload,system,servers,lb,traffic,offered_mrps,"
                     "achieved_mrps,goodput_mrps,mean_us,p50_us,p99_us,"
                     "slo_us,cost_server_s,completed,shed,cold_starts,"
-                    "failed,retries,hedges,hedge_wins,crashes,"
-                    "restarts,ejections,breaker_opens,ttr_us,slo_burn,"
-                    "final_servers\n");
+                    "slo_burn,final_servers\n");
         std::printf(
             "%s,%s,%u,%s,%s,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,"
-            "%.6f,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-            "%llu,%.4f,%.6f,%u\n",
+            "%.6f,%llu,%llu,%llu,%.6f,%u\n",
             opt.workload.c_str(), opt.system.c_str(), opt.cluster,
             opt.lb.c_str(), opt.traffic.c_str(), res.offeredMrps,
             res.achievedMrps, res.goodputMrps, res.meanUs, res.p50Us,
@@ -883,15 +679,7 @@ runCluster(const Options &opt, par::ThreadPool *pool)
             static_cast<unsigned long long>(res.completed),
             static_cast<unsigned long long>(res.shed),
             static_cast<unsigned long long>(res.coldStarts),
-            static_cast<unsigned long long>(res.failed),
-            static_cast<unsigned long long>(res.retries),
-            static_cast<unsigned long long>(res.hedges),
-            static_cast<unsigned long long>(res.hedgeWins),
-            static_cast<unsigned long long>(res.crashes),
-            static_cast<unsigned long long>(res.restarts),
-            static_cast<unsigned long long>(res.ejections),
-            static_cast<unsigned long long>(res.breakerOpens),
-            res.timeToRecoverUs, res.sloBurn, res.finalActiveServers);
+            res.sloBurn, res.finalActiveServers);
         return 0;
     }
 
@@ -910,35 +698,10 @@ runCluster(const Options &opt, par::ThreadPool *pool)
                 "%.2f us p99\n",
                 res.meanUs, res.p50Us, res.p99Us);
     std::printf("  outcomes     %llu completed, %llu shed, "
-                "%llu failed, %llu cold starts\n",
+                "%llu cold starts\n",
                 static_cast<unsigned long long>(res.completed),
                 static_cast<unsigned long long>(res.shed),
-                static_cast<unsigned long long>(res.failed),
                 static_cast<unsigned long long>(res.coldStarts));
-    if (res.crashes || res.retries || res.hedges || res.ejections ||
-        res.breakerOpens) {
-        std::printf("  chaos        %llu crashes (%llu restarts), "
-                    "%llu retries, %llu hedges (%llu wins), "
-                    "%llu ejections, %llu breaker opens\n",
-                    static_cast<unsigned long long>(res.crashes),
-                    static_cast<unsigned long long>(res.restarts),
-                    static_cast<unsigned long long>(res.retries),
-                    static_cast<unsigned long long>(res.hedges),
-                    static_cast<unsigned long long>(res.hedgeWins),
-                    static_cast<unsigned long long>(res.ejections),
-                    static_cast<unsigned long long>(
-                        res.breakerOpens));
-        if (res.crashes) {
-            if (res.timeToRecoverUs < 0)
-                std::printf("  recovery     never recovered, "
-                            "SLO burn %.4f\n",
-                            res.sloBurn);
-            else
-                std::printf("  recovery     %.1f us to recover, "
-                            "SLO burn %.4f\n",
-                            res.timeToRecoverUs, res.sloBurn);
-        }
-    }
     std::printf("  cost         %.6f server-seconds (%u servers "
                 "final)\n",
                 res.costServerSeconds, res.finalActiveServers);
@@ -962,6 +725,9 @@ runCluster(const Options &opt, par::ThreadPool *pool)
 int
 runSweep(const Options &opt, par::ThreadPool *pool)
 {
+    if (!opt.jsonOut.empty())
+        sim::fatal("--sweep does not support --json (only --cluster "
+                   "and --seed-sweep write it)");
     workloads::Workload w = workloads::makeByName(opt.workload);
     workloads::SweepConfig cfg;
     cfg.worker = makeWorkerConfig(opt);
@@ -1070,17 +836,6 @@ main(int argc, char **argv)
     if (opt.cluster == 0 && !opt.clusterOnlyFlags.empty())
         sim::fatal("%s is a fleet-only flag and requires --cluster N",
                    opt.clusterOnlyFlags.front().c_str());
-    if (!opt.faultPlan.empty()) {
-        fault::FaultPlan plan = fault::FaultPlan::parse(opt.faultPlan);
-        if (opt.cluster > 0 &&
-            (plan.defaults.any() || !plan.byFunction.empty()))
-            sim::fatal("fault plan: function-scope clauses are "
-                       "worker-only; --cluster reads only the "
-                       "'cluster:' clause (and seed)");
-        if (opt.cluster == 0 && plan.cluster.any())
-            sim::fatal("fault plan: the 'cluster:' clause requires "
-                       "--cluster N");
-    }
     std::unique_ptr<par::ThreadPool> pool;
     if (opt.jobs > 1)
         pool = std::make_unique<par::ThreadPool>(opt.jobs);
