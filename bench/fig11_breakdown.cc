@@ -10,37 +10,20 @@
  * ReadPage's >100-way fan-out, and NightCore's overhead exceeding its
  * execution time for most functions (3x for RP).
  *
- * The numbers come from the src/trace subsystem: each run is traced and
- * the per-function means are recomputed from the span stream by
- * trace::analyzeSpans — the same analysis `trace_report` applies to an
- * exported trace file.
+ * The numbers are the run's own per-function accounting (RunResult's
+ * perFunctionBreakdown, perFunctionServiceUs and perFunctionCount).
+ * `trace_report` recomputes the same table from an exported trace.
  */
-
-#include <cstdlib>
 
 #include "bench/common.hh"
 #include "stats/table.hh"
-#include "trace/breakdown.hh"
-#include "trace/trace.hh"
 #include "workloads/workloads.hh"
 
 using namespace jord;
+using runtime::RunResult;
 using runtime::SystemKind;
 using runtime::WorkerConfig;
 using runtime::WorkerServer;
-
-namespace {
-
-const trace::BreakdownRow *
-rowById(const trace::BreakdownReport &report, runtime::FunctionId fn)
-{
-    for (const trace::BreakdownRow &row : report.rows)
-        if (row.fnId == static_cast<std::int32_t>(fn))
-            return &row;
-    return nullptr;
-}
-
-} // namespace
 
 int
 main()
@@ -67,31 +50,35 @@ main()
             WorkerConfig cfg;
             cfg.system = system;
             WorkerServer worker(cfg, w.registry);
-            trace::Tracer tracer(cfg.machine.freqGhz);
-            worker.setTracer(&tracer);
             // Compare at comparable utilization: NightCore saturates
             // far earlier, so it runs at a quarter of Jord's load.
             double load = system == SystemKind::NightCore
                               ? loads[wi] / 4.0
                               : loads[wi];
-            worker.run(load, requests, w.mix);
-            worker.setTracer(nullptr);
-            trace::BreakdownReport report =
-                trace::analyzeSpans(tracer);
+            RunResult res = worker.run(load, requests, w.mix);
             for (const auto &[abbr, fn] : w.selected) {
-                const trace::BreakdownRow *row = rowById(report, fn);
-                if (!row)
+                double n = static_cast<double>(res.perFunctionCount[fn]);
+                if (n == 0)
                     continue;
+                const runtime::Breakdown &bd = res.perFunctionBreakdown[fn];
+                // Mean µs per invocation of one breakdown category.
+                auto us = [&](sim::Cycles cycles) {
+                    return sim::cyclesToUs(cycles, cfg.machine.freqGhz) / n;
+                };
+                double service = res.perFunctionServiceUs[fn].mean();
+                double overhead =
+                    us(bd.isolation) + us(bd.dispatch) + us(bd.pipe);
                 table.addRow(
                     {abbr, systemName(system),
-                     stats::Table::cell(row->serviceUs, "%.2f"),
-                     stats::Table::cell(row->execUs, "%.2f"),
-                     stats::Table::cell(row->isolationUs, "%.3f"),
-                     stats::Table::cell(row->dispatchUs, "%.3f"),
-                     stats::Table::cell(row->commUs, "%.3f"),
-                     stats::Table::cell(row->pipeUs, "%.2f"),
-                     stats::Table::cell(row->queueUs, "%.2f"),
-                     stats::Table::cell(row->overheadPct(), "%.1f")});
+                     stats::Table::cell(service, "%.2f"),
+                     stats::Table::cell(us(bd.exec), "%.2f"),
+                     stats::Table::cell(us(bd.isolation), "%.3f"),
+                     stats::Table::cell(us(bd.dispatch), "%.3f"),
+                     stats::Table::cell(us(bd.comm), "%.3f"),
+                     stats::Table::cell(us(bd.pipe), "%.2f"),
+                     stats::Table::cell(us(bd.queue), "%.2f"),
+                     stats::Table::cell(100.0 * overhead / service,
+                                        "%.1f")});
             }
         }
     }

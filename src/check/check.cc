@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 #include "uat/btree_table.hh"
 
@@ -119,20 +118,6 @@ Checker::Checker(const CheckConfig &cfg, const uat::VaEncoding &encoding)
 
 Checker::~Checker() = default;
 
-void
-Checker::attachMetrics(trace::MetricsRegistry &registry,
-                       const std::string &prefix)
-{
-    famCounter_[0] =
-        &registry.counter(prefix + "check.violations.access");
-    famCounter_[1] = &registry.counter(prefix + "check.violations.vlb");
-    famCounter_[2] =
-        &registry.counter(prefix + "check.violations.difftable");
-    // Surface any violations recorded before attachment.
-    for (unsigned fam = 0; fam < 3; ++fam)
-        famCounter_[fam]->add(famCount_[fam]);
-}
-
 Checker::CoreState &
 Checker::coreState(unsigned core)
 {
@@ -186,8 +171,6 @@ Checker::record(ViolationKind kind, unsigned core, Addr va, PdId pd,
 {
     unsigned fam = static_cast<unsigned>(violationFamily(kind));
     ++famCount_[fam];
-    if (famCounter_[fam])
-        famCounter_[fam]->add();
     if (log_.size() >= kMaxLogged)
         return;
     Violation v;

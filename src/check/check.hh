@@ -46,8 +46,6 @@
 #include "uat/vma_table.hh"
 
 namespace jord::trace {
-class Counter;
-class MetricsRegistry;
 class Tracer;
 } // namespace jord::trace
 
@@ -124,10 +122,6 @@ class Checker final : public probe::Probe
 
     /** Attach a tracer so violations capture the live span stack. */
     void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
-
-    /** Register check.violations.{access,vlb,difftable} counters. */
-    void attachMetrics(trace::MetricsRegistry &registry,
-                       const std::string &prefix = "");
 
     // --- Runtime lifecycle (called by the Worker / tests) ----------
 
@@ -262,7 +256,6 @@ class Checker final : public probe::Probe
 
     std::function<sim::Tick()> clock_;
     trace::Tracer *tracer_ = nullptr;
-    trace::Counter *famCounter_[3] = {nullptr, nullptr, nullptr};
 
     std::uint64_t famCount_[3] = {0, 0, 0};
     std::vector<Violation> log_;

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "sim/logging.hh"
-#include "trace/metrics.hh"
 #include "workloads/sweep.hh"
 
 namespace jord::cluster {
@@ -409,38 +408,39 @@ ClusterSim::run()
     return result_;
 }
 
-void
-attachClusterMetrics(const ClusterResult &result,
-                     trace::MetricsRegistry &registry)
+std::map<std::string, double>
+summaryJson(const ClusterResult &result)
 {
-    registry.counter("cluster.generated").add(result.generated);
-    registry.counter("cluster.completed").add(result.completed);
-    registry.counter("cluster.shed").add(result.shed);
-    registry.counter("cluster.cold_starts").add(result.coldStarts);
-    registry.gauge("cluster.goodput_mrps").set(result.goodputMrps, 0);
-    registry.gauge("cluster.p99_us").set(result.p99Us, 0);
-    registry.gauge("cluster.cost_server_s")
-        .set(result.costServerSeconds, 0);
+    auto count = [](std::uint64_t n) { return static_cast<double>(n); };
+    std::map<std::string, double> out;
+    out["cluster.offered_mrps"] = result.offeredMrps;
+    out["cluster.achieved_mrps"] = result.achievedMrps;
+    out["cluster.goodput_mrps"] = result.goodputMrps;
+    out["cluster.p99_us"] = result.p99Us;
+    out["cluster.cost_server_s"] = result.costServerSeconds;
+    out["cluster.slo_burn"] = result.sloBurn;
+    out["cluster.generated"] = count(result.generated);
+    out["cluster.completed"] = count(result.completed);
+    out["cluster.shed"] = count(result.shed);
+    out["cluster.cold_starts"] = count(result.coldStarts);
     for (std::size_t s = 0; s < result.servers.size(); ++s) {
         const ServerStats &server = result.servers[s];
         std::string prefix =
             "cluster.server" + std::to_string(s) + ".";
-        registry.counter(prefix + "completed").add(server.completed);
-        registry.counter(prefix + "shed").add(server.shed);
-        registry.counter(prefix + "cold_starts")
-            .add(server.coldStarts);
-        registry.gauge(prefix + "p99_us").set(server.p99Us, 0);
-        registry.gauge(prefix + "active_s")
-            .set(server.activeSeconds, 0);
+        out[prefix + "completed"] = count(server.completed);
+        out[prefix + "shed"] = count(server.shed);
+        out[prefix + "cold_starts"] = count(server.coldStarts);
+        out[prefix + "p99_us"] = server.p99Us;
+        out[prefix + "active_s"] = server.activeSeconds;
     }
     for (const TenantStats &tenant : result.tenants) {
         std::string prefix = "cluster.tenant." + tenant.name + ".";
-        registry.counter(prefix + "completed").add(tenant.completed);
-        registry.counter(prefix + "shed").add(tenant.shed);
-        registry.gauge(prefix + "p99_us").set(tenant.p99Us, 0);
-        registry.gauge(prefix + "slo_attainment")
-            .set(tenant.sloAttainment, 0);
+        out[prefix + "completed"] = count(tenant.completed);
+        out[prefix + "shed"] = count(tenant.shed);
+        out[prefix + "p99_us"] = tenant.p99Us;
+        out[prefix + "slo_attainment"] = tenant.sloAttainment;
     }
+    return out;
 }
 
 } // namespace jord::cluster

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -41,10 +42,6 @@
 #include "sim/event_queue.hh"
 #include "stats/histogram.hh"
 #include "stats/sampler.hh"
-
-namespace jord::trace {
-class MetricsRegistry;
-} // namespace jord::trace
 
 namespace jord::cluster {
 
@@ -255,14 +252,12 @@ class ClusterSim
 };
 
 /**
- * Register a finished fleet run's statistics into @p registry. Every
- * name carries a `cluster.server<k>.` / `cluster.tenant.<name>.`
- * prefix, so N servers sharing one registry stay distinguishable
- * (the registry's find-or-create lookup would otherwise silently sum
- * same-named metrics).
+ * Flat `cluster.*` summary of a finished fleet run, for
+ * prof::writeFlatJson / jordprof: the fleet totals, then one
+ * `cluster.server<k>.` and one `cluster.tenant.<name>.` group per
+ * server and tenant.
  */
-void attachClusterMetrics(const ClusterResult &result,
-                          trace::MetricsRegistry &registry);
+std::map<std::string, double> summaryJson(const ClusterResult &result);
 
 } // namespace jord::cluster
 

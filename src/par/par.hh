@@ -6,7 +6,7 @@
  * across host cores.
  *
  * Determinism contract (DESIGN.md §9): jobs must be independent. Each
- * job owns its Machine/EventQueue/Rng/trace/metrics/PMU instances and
+ * job owns its Machine/EventQueue/Rng/tracer/PMU instances and
  * touches no shared mutable state; a job's only output is its return
  * value, which orderedMap stores at the job's index. Results are
  * consumed in index order after the join, so everything derived from

@@ -175,8 +175,6 @@ PrivLib::account(PrivOp op, Cycles latency)
     OpStats &entry = stats_[static_cast<unsigned>(op)];
     ++entry.count;
     entry.cycles += latency;
-    if (probe_)
-        probe_->onPrivOp(op, latency);
 }
 
 void

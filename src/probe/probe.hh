@@ -4,7 +4,7 @@
  *
  * CoherenceEngine, UatSystem and PrivLib each hold one `Probe *` that
  * is null unless an observer is attached, and report every event a
- * checker, profiler, tracer or metrics view may want through it. The
+ * checker, PMU, profiler or tracer may want through it. The
  * layers do not know which observers exist: the worker attaches
  * runtime::Instruments, which fans each event out to its observers,
  * and the test fixture attaches the JordSan checker directly.
@@ -30,10 +30,6 @@
 namespace jord::mem {
 struct Access;
 } // namespace jord::mem
-
-namespace jord::privlib {
-enum class PrivOp : unsigned;
-} // namespace jord::privlib
 
 namespace jord::probe {
 
@@ -102,14 +98,12 @@ class Probe
 
     /**
      * The walk begun by the last onVlbMiss finished after @p latency
-     * cycles, having read @p depth table blocks. @p fault is None when
-     * it filled the VLB.
+     * cycles, having read @p depth table blocks.
      */
     virtual void
-    onVtwWalk(unsigned core, sim::Cycles latency, unsigned depth,
-              uat::Fault fault)
+    onVtwWalk(unsigned core, sim::Cycles latency, unsigned depth)
     {
-        (void)core; (void)latency; (void)depth; (void)fault;
+        (void)core; (void)latency; (void)depth;
     }
 
     /** A T-bit read by @p core registered it with the VTD. */
@@ -227,14 +221,6 @@ class Probe
     onFenceWait(unsigned core, sim::Cycles cycles)
     {
         (void)core; (void)cycles;
-    }
-
-    /** A PrivLib call of @p op returned after @p latency cycles,
-     * successful or not. */
-    virtual void
-    onPrivOp(privlib::PrivOp op, sim::Cycles latency)
-    {
-        (void)op; (void)latency;
     }
 };
 

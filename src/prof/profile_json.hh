@@ -2,13 +2,11 @@
  * @file
  * Deterministic flat JSON for profile/bench summaries.
  *
- * The profile exporter, the bench targets and tools/jordprof exchange
- * flat string->number maps.  Writing them through one helper (sorted
- * keys, fixed %.10g formatting, no locale dependence) makes same-seed
- * runs byte-identical and lets jordprof diff files from either source.
- *
- * The `diff` regression gate of jordprof lives here too; the tool
- * supplies only its per-key rule.
+ * jordsim's summaries, the profile exporter, the bench targets and
+ * tools/jordprof exchange flat string->number maps.  Writing them
+ * through one helper (sorted keys, fixed %.10g formatting, no locale
+ * dependence) makes same-seed runs byte-identical and lets jordprof
+ * diff files from any of these sources.
  */
 
 #ifndef JORD_PROF_PROFILE_JSON_HH
@@ -18,10 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace jord::prof {
 
@@ -101,37 +97,6 @@ parseFlatJson(const std::string &text, std::map<std::string, double> &kv)
  * opened, is empty, or is not a flat {"key": number} object.
  */
 std::map<std::string, double> loadFlatJson(const std::string &path);
-
-/** True when @p key contains @p needle. */
-bool contains(const std::string &key, const char *needle);
-
-/**
- * Relative change from @p old_value to @p new_value in the worse
- * direction (positive = regression). A zero baseline cannot regress
- * relatively: a nonzero new value on it is an infinite regression for
- * a lower-is-better key and no change for a higher-is-better one.
- */
-double relativeRegression(double old_value, double new_value,
-                          bool higher_is_better);
-
-/**
- * A tool's per-key gate rule: how much worse @p key got from
- * @p old_value to @p new_value (> 0 = regression), or nullopt when the
- * key does not gate a diff.
- */
-using RegressionRule = std::optional<double> (*)(const std::string &key,
-                                                 double old_value,
-                                                 double new_value);
-
-/**
- * The `diff OLD.json NEW.json [--threshold 10%]` subcommand. @p args
- * are the arguments after "diff". Prints every gating key the two
- * files share and every key only one of them has.
- *
- * @return 1 when any gating key regressed past the threshold (default
- *     10%), else 0.
- */
-int diffCommand(const std::vector<std::string> &args, RegressionRule rule);
 
 } // namespace jord::prof
 

@@ -3,7 +3,6 @@
 #include "mem/coherence.hh"
 #include "prof/pmu.hh"
 #include "prof/profiler.hh"
-#include "trace/metrics.hh"
 
 namespace jord::runtime {
 
@@ -30,20 +29,14 @@ spanArgs(const Request &req)
 } // namespace
 
 Instruments::Instruments(const sim::MachineConfig &machine)
-    : freqGhz_(machine.freqGhz), l1HitCycles_(machine.l1HitCycles)
+    : l1HitCycles_(machine.l1HitCycles)
 {
-}
-
-std::uint64_t
-Instruments::ns(Cycles cycles) const
-{
-    return static_cast<std::uint64_t>(sim::cyclesToNs(cycles, freqGhz_));
 }
 
 bool
 Instruments::attached() const
 {
-    return checker_ || pmu_ || profiler_ || tracer_ || metrics_;
+    return checker_ || pmu_ || profiler_ || tracer_;
 }
 
 void
@@ -54,60 +47,12 @@ Instruments::setTracer(trace::Tracer *tracer)
         checker_->setTracer(tracer);
 }
 
-void
-Instruments::attachMetrics(trace::MetricsRegistry &registry,
-                           const std::string &prefix)
-{
-    auto counter = [&](const char *name) {
-        return &registry.counter(prefix + name);
-    };
-    auto dist = [&](const char *name) {
-        return &registry.distribution(prefix + name);
-    };
-    Metrics m;
-    m.externalRequests = counter("runtime.requests.external");
-    m.completedRequests = counter("runtime.requests.completed");
-    m.failedRequests = counter("runtime.requests.failed");
-    m.timedOutRequests = counter("runtime.requests.timed_out");
-    m.shedRequests = counter("runtime.requests.shed");
-    m.invocations = counter("runtime.invocations");
-    m.abortedInvocations = counter("runtime.invocations.aborted");
-    m.dispatches = counter("runtime.dispatch.count");
-    m.retries = counter("runtime.retries");
-    m.faultsInjected = counter("runtime.faults.injected");
-    m.dispatchScanNs = dist("runtime.dispatch.scan_ns");
-    m.serviceNs = dist("runtime.service_ns");
-    m.retryDelayNs = dist("runtime.retry.delay_ns");
-    m.busyExecutors = &registry.gauge(prefix + "runtime.executors.busy");
-    m.liveInvocations =
-        &registry.gauge(prefix + "runtime.invocations.live");
-    m.vlbHits = counter("uat.vlb.hits");
-    m.vlbMisses = counter("uat.vlb.misses");
-    m.vtwFaults = counter("uat.vtw.faults");
-    m.shootdowns = counter("uat.vtd.shootdowns");
-    m.shootdownsPessimistic = counter("uat.vtd.shootdowns_pessimistic");
-    m.vtwWalkNs = dist("uat.vtw.walk_ns");
-    m.shootdownNs = dist("uat.vtd.shootdown_ns");
-    for (unsigned op = 0; op < kNumOps; ++op) {
-        std::string base = prefix + "privlib." +
-                           privlib::privOpName(
-                               static_cast<privlib::PrivOp>(op));
-        m.opCalls[op] = &registry.counter(base + ".calls");
-        m.opCycles[op] = &registry.counter(base + ".cycles");
-    }
-    metrics_ = m;
-    if (checker_)
-        checker_->attachMetrics(registry, prefix);
-}
-
 // --- Runtime events ---------------------------------------------------------
 
 trace::SpanId
 Instruments::requestArrived(const Request &req, const std::string &fn,
                             unsigned core, Tick now)
 {
-    if (metrics_)
-        metrics_->externalRequests->add();
     // The request lifecycle span stays open until the orchestrator
     // processes the response; nested invoke spans parent into it.
     return tracer_ ? tracer_->begin(fn, Category::Request, core, now, 0,
@@ -119,12 +64,6 @@ void
 Instruments::requestSettled(const Request &req, Settled how,
                             unsigned core, Tick done)
 {
-    if (metrics_) {
-        trace::Counter *settled[] = {
-            metrics_->completedRequests, metrics_->shedRequests,
-            metrics_->failedRequests, metrics_->timedOutRequests};
-        settled[static_cast<unsigned>(how)]->add();
-    }
     if (!tracer_ || !req.span)
         return;
     static constexpr const char *kOutcome[] = {
@@ -155,18 +94,6 @@ Instruments::dispatchScan(unsigned core, Cycles scan)
     pmu_->charge(core, PmuBucket::DispatchWait, scan);
 }
 
-void
-Instruments::dispatched(const Request &req, trace::SpanId parent,
-                        unsigned core, Tick start, Cycles scan)
-{
-    if (metrics_) {
-        metrics_->dispatches->add();
-        metrics_->dispatchScanNs->record(ns(scan));
-    }
-    span("dispatch", Category::Dispatch, core, start, req.dispatchCycles,
-         req, parent);
-}
-
 trace::SpanId
 Instruments::invocationBegun(const Request &req, const std::string &fn,
                              unsigned core, Tick start,
@@ -183,13 +110,6 @@ Instruments::invocationEnded(const Invocation &inv, unsigned core,
 {
     if (tracer_ && inv.span)
         tracer_->end(inv.span, now);
-    if (inv.outcome != Outcome::Ok)
-        return;
-    if (metrics_) {
-        metrics_->invocations->add();
-        if (inv.req->measured)
-            metrics_->serviceNs->record(ns(now - inv.serviceStart));
-    }
     if (pmu_)
         pmu_->add(core, PmuCounter::QueueWaitCycles, queueWait);
 }
@@ -198,31 +118,9 @@ void
 Instruments::retry(const Request &req, unsigned core, Tick start,
                    Cycles delay)
 {
-    if (metrics_) {
-        metrics_->retries->add();
-        metrics_->retryDelayNs->record(static_cast<std::uint64_t>(
-            sim::cyclesToUs(delay, freqGhz_) * 1000.0));
-    }
     if (req.span)
         span("retry", Category::Runtime, core, start, delay, req,
              req.span);
-}
-
-void
-Instruments::faultInjected(const char *name, Category cat, unsigned core,
-                           Tick start, Cycles dur, const Request &req,
-                           trace::SpanId parent)
-{
-    if (metrics_)
-        metrics_->faultsInjected->add();
-    span(name, cat, core, start, dur, req, parent);
-}
-
-void
-Instruments::aborted()
-{
-    if (metrics_)
-        metrics_->abortedInvocations->add();
 }
 
 void
@@ -251,20 +149,6 @@ Instruments::clearCoreContext(unsigned core)
 {
     if (checker_)
         checker_->clearCoreContext(core);
-}
-
-void
-Instruments::execBusy(bool busy, Tick now)
-{
-    if (metrics_)
-        metrics_->busyExecutors->add(busy ? 1.0 : -1.0, now);
-}
-
-void
-Instruments::liveInvocations(std::size_t live, Tick now)
-{
-    if (metrics_)
-        metrics_->liveInvocations->set(static_cast<double>(live), now);
 }
 
 void
@@ -313,8 +197,6 @@ void
 Instruments::onVlbUse(unsigned core, bool isInstr, Addr vteAddr,
                       uat::PdId pd)
 {
-    if (metrics_)
-        metrics_->vlbHits->add();
     if (pmu_) {
         pmu_->add(core, PmuCounter::RetiredOps);
         pmu_->add(core,
@@ -326,8 +208,6 @@ Instruments::onVlbUse(unsigned core, bool isInstr, Addr vteAddr,
 void
 Instruments::onVlbMiss(unsigned core, bool isInstr)
 {
-    if (metrics_)
-        metrics_->vlbMisses->add();
     if (!pmu_)
         return;
     pmu_->add(core, PmuCounter::RetiredOps);
@@ -340,8 +220,7 @@ Instruments::onVlbMiss(unsigned core, bool isInstr)
 }
 
 void
-Instruments::onVtwWalk(unsigned core, Cycles latency, unsigned depth,
-                       uat::Fault fault)
+Instruments::onVtwWalk(unsigned core, Cycles latency, unsigned depth)
 {
     if (pmu_) {
         // The rest of the walk latency (overhead + L1-hit reads) is
@@ -358,11 +237,6 @@ Instruments::onVtwWalk(unsigned core, Cycles latency, unsigned depth,
     if (tracer_)
         tracer_->complete("vtw_walk", Category::Hw, core, tracer_->now(),
                           latency);
-    if (metrics_) {
-        metrics_->vtwWalkNs->record(ns(latency));
-        if (fault != uat::Fault::None)
-            metrics_->vtwFaults->add();
-    }
 }
 
 void
@@ -385,15 +259,6 @@ Instruments::onShootdown(Addr vteAddr, unsigned writerCore,
     }
     check().onShootdown(vteAddr, writerCore, targets, fanout, remote,
                         pessimistic);
-    // Only a fan-out with a completion latency is a sampled shootdown.
-    if (metrics_) {
-        if (pessimistic)
-            metrics_->shootdownsPessimistic->add();
-        if (fanout > 0) {
-            metrics_->shootdowns->add();
-            metrics_->shootdownNs->record(ns(fanout));
-        }
-    }
     if (tracer_ && fanout > 0)
         tracer_->complete("vlb_shootdown", Category::Hw, writerCore,
                           tracer_->now(), fanout);
@@ -416,16 +281,6 @@ Instruments::onFenceWait(unsigned core, Cycles cycles)
     // bucket: the wait is shootdown time.
     if (pmu_)
         pmu_->charge(core, PmuBucket::Shootdown, cycles);
-}
-
-void
-Instruments::onPrivOp(privlib::PrivOp op, Cycles latency)
-{
-    if (!metrics_)
-        return;
-    unsigned idx = static_cast<unsigned>(op);
-    metrics_->opCalls[idx]->add();
-    metrics_->opCycles[idx]->add(latency);
 }
 
 } // namespace jord::runtime

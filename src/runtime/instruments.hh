@@ -4,31 +4,28 @@
  *
  * WorkerServer owns one Instruments object. It holds the optional
  * observers (the JordSan checker, the simulated PMU, the sampling
- * profiler, the span tracer and the registry metrics) and turns each
- * event of the worker model into the update every attached observer
- * needs. The coherence engine, the UAT hardware and PrivLib report to
- * it as their probe::Probe; WorkerServer calls its runtime events
- * directly. Adding an observer is an edit to this class alone.
+ * profiler and the span tracer) and turns each event of the worker
+ * model into the update every attached observer needs. The coherence
+ * engine, the UAT hardware and PrivLib report to it as their
+ * probe::Probe; WorkerServer calls its runtime events directly.
+ * Adding an observer is an edit to this class alone.
  *
  * While no observer is attached the worker and its layers hold a null
  * pointer instead of this object, so an uninstrumented run tests one
  * pointer per site and is byte-identical to an instrumented one.
  *
- * Call order is part of the output: span ids follow emission order and
- * gauges are time-weighted, so each event updates its observers in a
- * fixed order and the worker emits events where it always has.
+ * Call order is part of the output: span ids follow emission order, so
+ * each event updates its observers in a fixed order and the worker
+ * emits events where it always has.
  */
 
 #ifndef JORD_RUNTIME_INSTRUMENTS_HH
 #define JORD_RUNTIME_INSTRUMENTS_HH
 
-#include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "check/check.hh"
-#include "privlib/privlib.hh"
 #include "probe/probe.hh"
 #include "runtime/request.hh"
 #include "sim/machine.hh"
@@ -38,13 +35,6 @@ namespace jord::prof {
 class Pmu;
 class Profiler;
 } // namespace jord::prof
-
-namespace jord::trace {
-class Counter;
-class Distribution;
-class Gauge;
-class MetricsRegistry;
-} // namespace jord::trace
 
 namespace jord::runtime {
 
@@ -70,11 +60,6 @@ class Instruments final : public probe::Probe
     void setPmu(prof::Pmu *pmu) { pmu_ = pmu; }
     void setProfiler(prof::Profiler *profiler) { profiler_ = profiler; }
 
-    /** Register the runtime, UAT, PrivLib and checker metrics into
-     * @p registry (must outlive this object), names prefixed. */
-    void attachMetrics(trace::MetricsRegistry &registry,
-                       const std::string &prefix);
-
     trace::Tracer *tracer() const { return tracer_; }
     prof::Pmu *pmu() const { return pmu_; }
 
@@ -98,10 +83,6 @@ class Instruments final : public probe::Probe
               trace::SpanId parent);
     /** Orchestrator @p core scanned its executors' queue lengths. */
     void dispatchScan(unsigned core, sim::Cycles scan);
-    /** @p req was dispatched after a @p scan-cycle decision; its span
-     * covers req.dispatchCycles, the invocation's dispatch charge. */
-    void dispatched(const Request &req, trace::SpanId parent,
-                    unsigned core, sim::Tick start, sim::Cycles scan);
     /** An invocation of @p req began on @p core; returns its span. */
     trace::SpanId invocationBegun(const Request &req,
                                   const std::string &fn, unsigned core,
@@ -113,22 +94,12 @@ class Instruments final : public probe::Probe
     /** A failed attempt of @p req is retried after @p delay. */
     void retry(const Request &req, unsigned core, sim::Tick start,
                sim::Cycles delay);
-    /** The fault injector fired; the span covers the lost work. */
-    void faultInjected(const char *name, trace::Category cat,
-                       unsigned core, sim::Tick start, sim::Cycles dur,
-                       const Request &req, trace::SpanId parent);
-    /** An invocation was aborted and its isolation state reclaimed. */
-    void aborted();
     void argBufMapped(sim::Addr va, std::uint64_t bytes,
                       RequestId req);
     void argBufFreed(sim::Addr va);
     /** @p req (span @p span) runs on @p core until cleared. */
     void coreContext(unsigned core, RequestId req, trace::SpanId span);
     void clearCoreContext(unsigned core);
-    /** An executor became busy (or idle) at @p now. */
-    void execBusy(bool busy, sim::Tick now);
-    /** @p live invocations exist from @p now on. */
-    void liveInvocations(std::size_t live, sim::Tick now);
     /** The run's first arrival is queued. */
     void runBegin();
     /** The run drained after @p ticks of simulated time. */
@@ -141,8 +112,8 @@ class Instruments final : public probe::Probe
     void onVlbUse(unsigned core, bool isInstr, sim::Addr vteAddr,
                   uat::PdId pd) override;
     void onVlbMiss(unsigned core, bool isInstr) override;
-    void onVtwWalk(unsigned core, sim::Cycles latency, unsigned depth,
-                   uat::Fault fault) override;
+    void onVtwWalk(unsigned core, sim::Cycles latency,
+                   unsigned depth) override;
     void onVtdLookup(unsigned core) override;
     void onShootdown(sim::Addr vteAddr, unsigned writerCore,
                      const std::vector<unsigned> &targets,
@@ -151,7 +122,6 @@ class Instruments final : public probe::Probe
     void onBackInvalidate(sim::Addr vteAddr,
                           const std::vector<unsigned> &targets) override;
     void onFenceWait(unsigned core, sim::Cycles cycles) override;
-    void onPrivOp(privlib::PrivOp op, sim::Cycles latency) override;
 
     // --- probe::Probe: events only JordSan reads --------------------
 
@@ -232,27 +202,6 @@ class Instruments final : public probe::Probe
     }
 
   private:
-    static constexpr unsigned kNumOps =
-        static_cast<unsigned>(privlib::PrivOp::NumOps);
-
-    /** Registry metrics, all registered together by attachMetrics. */
-    struct Metrics {
-        // Runtime.
-        trace::Counter *externalRequests, *completedRequests,
-            *failedRequests, *timedOutRequests, *shedRequests;
-        trace::Counter *invocations, *abortedInvocations, *dispatches,
-            *retries, *faultsInjected;
-        trace::Distribution *dispatchScanNs, *serviceNs, *retryDelayNs;
-        trace::Gauge *busyExecutors, *liveInvocations;
-        // UAT hardware.
-        trace::Counter *vlbHits, *vlbMisses, *vtwFaults, *shootdowns,
-            *shootdownsPessimistic;
-        trace::Distribution *vtwWalkNs, *shootdownNs;
-        // PrivLib, by PrivOp.
-        std::array<trace::Counter *, kNumOps> opCalls, opCycles;
-    };
-
-    double freqGhz_;
     sim::Cycles l1HitCycles_;
 
     check::Checker *checker_ = nullptr;
@@ -261,7 +210,6 @@ class Instruments final : public probe::Probe
     prof::Pmu *pmu_ = nullptr;
     prof::Profiler *profiler_ = nullptr;
     trace::Tracer *tracer_ = nullptr;
-    std::optional<Metrics> metrics_;
 
     /** The PMU's Noc bucket of the walking core when the current VTW
      * walk began (walks never nest). */
@@ -269,9 +217,6 @@ class Instruments final : public probe::Probe
 
     /** The checker's probe callbacks, or no-ops without a checker. */
     probe::Probe &check() { return checker_ ? *checker_ : noChecker_; }
-
-    /** Simulated cycles as whole nanoseconds (metric samples). */
-    std::uint64_t ns(sim::Cycles cycles) const;
 };
 
 } // namespace jord::runtime

@@ -198,14 +198,6 @@ WorkerServer::setTracer(trace::Tracer *tracer)
 }
 
 void
-WorkerServer::attachMetrics(trace::MetricsRegistry &registry,
-                            const std::string &prefix)
-{
-    instruments_.attachMetrics(registry, prefix);
-    rewireProbe();
-}
-
-void
 WorkerServer::setPmu(prof::Pmu *pmu)
 {
     instruments_.setPmu(pmu);
@@ -282,20 +274,6 @@ trace::SpanId
 WorkerServer::parentSpan(const RequestSlot &slot)
 {
     return slot.req.internal ? parentOf(slot).span : slot.req.span;
-}
-
-void
-WorkerServer::noteExecBusy(bool busy)
-{
-    if (instr_)
-        instr_->execBusy(busy, events_.curTick());
-}
-
-void
-WorkerServer::noteLiveInvocations()
-{
-    if (instr_)
-        instr_->liveInvocations(invocations_.live(), events_.curTick());
 }
 
 // --- Load generation -------------------------------------------------------
@@ -543,10 +521,8 @@ WorkerServer::orchDispatchStep(unsigned orch)
                 instr_->requestSettled(req, Settled::Completed, o.core,
                                        events_.curTick() + busy);
             settle(r);
-            noteLiveInvocations();
         } else {
             // Failed attempt: retry with backoff or settle.
-            noteLiveInvocations();
             busy += settleFailedAttempt(r, outcome, busy);
         }
         progressed = true;
@@ -601,10 +577,9 @@ WorkerServer::orchDispatchStep(unsigned orch)
                 if (result_)
                     ++result_->faultsInjected;
                 if (instr_)
-                    instr_->faultInjected("pipe.drop",
-                                          trace::Category::Pipe, o.core,
-                                          base + busy - drop, drop, req,
-                                          req.span);
+                    instr_->span("pipe.drop", trace::Category::Pipe,
+                                 o.core, base + busy - drop, drop, req,
+                                 req.span);
                 if (req.internal) {
                     // A lost nested call must still unblock the
                     // waiting parent: deliver a failed result instead
@@ -630,8 +605,9 @@ WorkerServer::orchDispatchStep(unsigned orch)
             // The span mirrors the bd.dispatch charge the invocation
             // will take in its prologue (scan + queue push).
             if (instr_)
-                instr_->dispatched(req, parentSpan(slot), o.core,
-                                   base + busy - scan, scan);
+                instr_->span("dispatch", trace::Category::Dispatch,
+                             o.core, base + busy - scan,
+                             req.dispatchCycles, req, parentSpan(slot));
             if (cfg_.system == SystemKind::NightCore) {
                 busy += baseline::pipe::sendBusy(req.argBytes);
             }
@@ -680,7 +656,6 @@ WorkerServer::execStep(unsigned exec)
     if (!e.resumable.empty()) {
         std::uint32_t r = pop(e.resumable);
         e.busy = true;
-        noteExecBusy(true);
         resumeInvocation(exec, requests_[r].inv);
         return;
     }
@@ -688,7 +663,6 @@ WorkerServer::execStep(unsigned exec)
         std::uint32_t r = pop(e.queue);
         markDirty(exec);
         e.busy = true;
-        noteExecBusy(true);
         startInvocation(exec, r);
         return;
     }
@@ -1190,10 +1164,9 @@ WorkerServer::runUntilBlocked(Invocation &inv, Tick at)
             if (result_)
                 ++result_->faultsInjected;
             if (instr_)
-                instr_->faultInjected("fault.inject",
-                                      trace::Category::Runtime, core,
-                                      at + busy - part, part, *inv.req,
-                                      inv.span);
+                instr_->span("fault.inject", trace::Category::Runtime,
+                             core, at + busy - part, part, *inv.req,
+                             inv.span);
             if (inv.pendingChildren > 0) {
                 // Outstanding children still hold permissions rooted
                 // in this PD; wait for them, then reclaim at resume.
@@ -1274,7 +1247,6 @@ WorkerServer::startInvocation(unsigned exec, std::uint32_t r)
     inv.exec = exec;
     inv.serviceStart = events_.curTick();
     execs_[exec].running = i;
-    noteLiveInvocations();
     Cycles busy = 0;
     prof::PmuWindow pmu_window(pmu(), coreOfExec(exec), busy);
     if (instr_) {
@@ -1415,7 +1387,6 @@ WorkerServer::scheduleExecCompletion(unsigned exec, std::uint32_t i,
         ExecState &e = execs_[exec];
         e.busy = false;
         e.running = kNoSlot;
-        noteExecBusy(false);
         if (invocations_[i].state == InvState::Done) {
             finishInvocation(i);
         } else {
@@ -1480,7 +1451,6 @@ WorkerServer::finishInvocation(std::uint32_t i)
                         kQueueOpCycles;
         invocations_.release(i);
         requests_[r].inv = kNoSlot;
-        noteLiveInvocations();
         events_.scheduleAfter(notify, [this, r, failed] {
             const Request &req = requests_[r].req;
             deliverChildResult(
@@ -1584,8 +1554,6 @@ WorkerServer::abortReclaim(Invocation &inv, Tick at, bool in_pd)
 
     if (result_ && inv.req->measured)
         ++result_->abortedInvocations;
-    if (instr_)
-        instr_->aborted();
     charge(inv, trace::Category::Isolation, "abort.reclaim", core, at,
            busy);
     return busy;

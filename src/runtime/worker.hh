@@ -182,7 +182,7 @@ class WorkerServer : public prof::SampleSource
      * lifecycle spans, per-category busy spans and hardware spans are
      * emitted while attached.
      *
-     * Every observer (tracer, metrics, PMU, profiler, JordSan) is
+     * Every observer (tracer, PMU, profiler, JordSan) is
      * reached through the worker's one Instruments object; while none
      * is attached, each instrumentation site tests one null pointer.
      */
@@ -204,19 +204,6 @@ class WorkerServer : public prof::SampleSource
 
     /** The JordSan checker (null unless cfg.check enables a family). */
     check::Checker *checker() const { return checker_.get(); }
-
-    /**
-     * Register this worker's counters/gauges/distributions (and those
-     * of its PrivLib and UAT) into @p registry. The registry must
-     * outlive the worker.
-     *
-     * @param prefix Prepended to every metric name. Multi-server runs
-     * (jordsim --cluster N) pass "serverK." so two workers sharing a
-     * registry get distinct metrics; with an empty prefix the
-     * registry's find-or-create semantics would silently sum them.
-     */
-    void attachMetrics(trace::MetricsRegistry &registry,
-                       const std::string &prefix = "");
 
     /**
      * Attach (or detach, with nullptr) the simulated PMU. It counts
@@ -493,8 +480,6 @@ class WorkerServer : public prof::SampleSource
     /** Span parent of work for @p slot's request: its request span,
      * or the parent invocation's span for a nested request. */
     trace::SpanId parentSpan(const RequestSlot &slot);
-    void noteExecBusy(bool busy);
-    void noteLiveInvocations();
 };
 
 } // namespace jord::runtime

@@ -111,31 +111,6 @@ BreakdownReport::row(const std::string &fn) const
 }
 
 BreakdownReport
-analyzeSpans(const Tracer &tracer)
-{
-    const double ticks_per_us = tracer.freqGhz() * 1000.0;
-    // std::map so aggregation visits requests in id order: byFn
-    // accumulates floats, and float addition is not associative.
-    std::map<std::uint64_t, PerRequest> reqs;
-    for (const SpanRecord &rec : tracer.spans()) {
-        if (rec.open || rec.req == 0)
-            continue;
-        double dur_us =
-            static_cast<double>(rec.end - rec.start) / ticks_per_us;
-        PerRequest &pr = reqs[rec.req];
-        if (rec.cat == Category::Invoke) {
-            pr.serviceUs = dur_us;
-            pr.fn = rec.fn;
-            pr.fnName = tracer.spanName(rec);
-            pr.measured = rec.measured;
-        } else if (int c = catIndex(rec.cat); c >= 0) {
-            pr.catUs[c] += dur_us;
-        }
-    }
-    return aggregate(reqs, tracer.meta());
-}
-
-BreakdownReport
 analyzeChromeTrace(std::istream &in)
 {
     // std::map so aggregation visits requests in id order: byFn

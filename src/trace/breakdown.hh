@@ -7,8 +7,12 @@
  * means, attributing the unaccounted remainder of each invocation's
  * service window to queueing/waiting — the same accounting the
  * runtime's RunResult breakdown performs, but recomputed purely from
- * the trace. Works from a live Tracer (in-process benches) or from an
- * exported Chrome trace-event JSON file (tools/trace_report).
+ * an exported Chrome trace-event JSON file (tools/trace_report).
+ *
+ * The two agree on a run without faults. A faulty run's trace also
+ * counts aborted attempts as invocations, and sums the attempts of a
+ * retried request under its one request id, so there the trace's
+ * counts and means differ from RunResult's.
  */
 
 #ifndef JORD_TRACE_BREAKDOWN_HH
@@ -48,9 +52,6 @@ struct BreakdownReport {
     /** Look a row up by function name; nullptr when absent. */
     const BreakdownRow *row(const std::string &fn) const;
 };
-
-/** Analyze a live trace (measured invocations only). */
-BreakdownReport analyzeSpans(const Tracer &tracer);
 
 /** Parse an exported Chrome trace-event JSON stream and analyze it. */
 BreakdownReport analyzeChromeTrace(std::istream &in);

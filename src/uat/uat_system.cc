@@ -129,7 +129,7 @@ UatSystem::resolve(unsigned core, Addr va, Perm need, Vlb &vlb)
     WalkOutcome walk = vtwWalk(core, va, pd, vlb);
     acc.latency += walk.latency;
     if (probe_)
-        probe_->onVtwWalk(core, walk.latency, walk.depth, walk.fault);
+        probe_->onVtwWalk(core, walk.latency, walk.depth);
     if (walk.fault != Fault::None) {
         acc.fault = walk.fault;
         return acc;

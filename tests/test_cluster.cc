@@ -3,7 +3,7 @@
  * Fleet-scale simulation tests (src/cluster): shared arrival
  * generation, traffic models, LB policy invariants, autoscaler
  * hysteresis, admission control, cost accounting, determinism,
- * per-server metrics namespacing, and exact digests of whole runs.
+ * per-server summary keys, and exact digests of whole runs.
  *
  * Fleet tests run on a hand-built ServerModel (no calibration runs),
  * so they exercise the cluster DES itself and stay fast. The
@@ -18,13 +18,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hh"
-#include "runtime/worker.hh"
 #include "sim/arrivals.hh"
-#include "trace/metrics.hh"
 #include "workloads/workloads.hh"
 
 using namespace jord;
@@ -478,47 +477,24 @@ TEST(Cluster, AffinityRunsAndKeepsTenantsServed)
     }
 }
 
-// --- Metrics namespacing -------------------------------------------------
+// --- Summary keys -------------------------------------------------------
 
 TEST(Cluster, MetricsArePerServerNamespaced)
 {
     ServerModel model = fakeModel();
     ClusterConfig cfg = fleetConfig(2, 1.5);
     ClusterResult res = ClusterSim(cfg, model).run();
-    trace::MetricsRegistry registry;
-    cluster::attachClusterMetrics(res, registry);
-    // Distinct per-server counters, not one silently shared slot.
-    EXPECT_EQ(registry.counter("cluster.server0.completed").value(),
-              res.servers[0].completed);
-    EXPECT_EQ(registry.counter("cluster.server1.completed").value(),
-              res.servers[1].completed);
+    std::map<std::string, double> json = cluster::summaryJson(res);
+    // One key per server, not one shared slot.
+    EXPECT_EQ(json.at("cluster.server0.completed"),
+              static_cast<double>(res.servers[0].completed));
+    EXPECT_EQ(json.at("cluster.server1.completed"),
+              static_cast<double>(res.servers[1].completed));
+    EXPECT_EQ(json.at("cluster.completed"),
+              static_cast<double>(res.completed));
     EXPECT_EQ(res.servers[0].completed + res.servers[1].completed,
               res.completed);
-}
-
-TEST(Cluster, WorkerMetricsPrefixKeepsServersDistinct)
-{
-    // The registry's find-or-create lookup silently *sums* same-named
-    // metrics; two workers sharing one registry therefore need the
-    // per-server prefix (jordsim --cluster N --metrics-out).
-    workloads::Workload hotel = workloads::makeHotel();
-    runtime::WorkerConfig cfg;
-    trace::MetricsRegistry registry;
-
-    runtime::WorkerServer server0(cfg, hotel.registry);
-    server0.attachMetrics(registry, "server0.");
-    std::size_t one = registry.size();
-    runtime::WorkerServer server1(cfg, hotel.registry);
-    server1.attachMetrics(registry, "server1.");
-    EXPECT_EQ(registry.size(), 2 * one);
-
-    server0.run(1.0, 300, hotel.mix);
-    EXPECT_GT(
-        registry.counter("server0.runtime.requests.completed").value(),
-        0u);
-    EXPECT_EQ(
-        registry.counter("server1.runtime.requests.completed").value(),
-        0u);
+    EXPECT_EQ(json.count("cluster.server2.completed"), 0u);
 }
 
 // --- Output pins ---------------------------------------------------------

@@ -3,11 +3,11 @@
  * Pinned output of worker runs with every observer attached.
  *
  * Four fault-injected runs, one per evaluated system, attach the span
- * tracer, the metrics registry, the PMU with the sampling profiler and
- * JordSan with every checker family at once. Every artifact those
- * observers produce (Chrome trace, metrics CSV, PMU counter and
- * top-down CSVs, folded stacks, profiler time series, JordSan report)
- * and every RunResult field fold into one FNV-1a digest per run. The
+ * tracer, the PMU with the sampling profiler and JordSan with every
+ * checker family at once. Every artifact those observers produce
+ * (Chrome trace, PMU counter and top-down CSVs, folded stacks,
+ * profiler time series, JordSan report) and every RunResult field
+ * fold into one FNV-1a digest per run. The
  * constants below pin those digests, so a change to the
  * instrumentation path must leave each observer's output
  * byte-identical.
@@ -29,7 +29,6 @@
 #include "prof/profiler.hh"
 #include "runtime/worker.hh"
 #include "trace/export.hh"
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 #include "workloads/workloads.hh"
 
@@ -144,7 +143,7 @@ struct Observed {
     std::uint64_t violations = 0;
 };
 
-/** One run with the tracer, registry, PMU + profiler and JordSan. */
+/** One run with the tracer, PMU + profiler and JordSan. */
 Observed
 runObserved(const Case &c)
 {
@@ -153,23 +152,20 @@ runObserved(const Case &c)
     WorkerServer worker(cfg, w.registry);
 
     trace::Tracer tracer(cfg.machine.freqGhz);
-    trace::MetricsRegistry registry;
     prof::Pmu pmu(cfg.machine.numCores);
     prof::Profiler::Config pcfg;
     pcfg.freqGhz = cfg.machine.freqGhz;
     prof::Profiler profiler(worker.eventQueue(), worker, pcfg);
     worker.setTracer(&tracer);
-    worker.attachMetrics(registry);
     worker.setPmu(&pmu);
     worker.setProfiler(&profiler);
 
     Observed out;
     out.result = worker.run(c.mrps, kRequests, w.mix);
 
-    std::ostringstream trace_json, metrics, counters, topdown, folded,
-        timeseries, report;
+    std::ostringstream trace_json, counters, topdown, folded, timeseries,
+        report;
     trace::writeChromeTrace(tracer, trace_json);
-    registry.writeCsv(metrics);
     pmu.writeCountersCsv(counters);
     pmu.writeTopDownCsv(topdown);
     profiler.writeFolded(folded);
@@ -180,8 +176,8 @@ runObserved(const Case &c)
 
     Digest d;
     for (const std::ostringstream *artifact :
-         {&trace_json, &metrics, &counters, &topdown, &folded,
-          &timeseries, &report})
+         {&trace_json, &counters, &topdown, &folded, &timeseries,
+          &report})
         d.add(artifact->str());
     d.add(renderResult(out.result));
     out.digest = d.value();
@@ -211,7 +207,7 @@ checkCase(const Case &c, std::uint64_t pinned)
 TEST(ObserverDigest, MediaJord)
 {
     Observed run = checkCase({"Media", SystemKind::Jord, 1.0, 256},
-                             0x3d1060619585ccd0ull);
+                             0x690d0d502e85786dull);
     EXPECT_GT(run.result.retries, 0u);
     EXPECT_GT(run.result.failedRequests, 0u);
     EXPECT_GT(run.result.timedOutRequests, 0u);
@@ -220,14 +216,14 @@ TEST(ObserverDigest, MediaJord)
 TEST(ObserverDigest, HotelJordBT)
 {
     Observed run = checkCase({"Hotel", SystemKind::JordBT, 1.0, 256},
-                             0xf6b493f5683c27c4ull);
+                             0x074199e90e4ace57ull);
     EXPECT_GT(run.result.retries, 0u);
 }
 
 TEST(ObserverDigest, HipsterJordNI)
 {
     Observed run = checkCase({"Hipster", SystemKind::JordNI, 2.0, 256},
-                             0x7fd0b5b2fad2b0e3ull);
+                             0x400581132518da7dull);
     EXPECT_GT(run.result.retries, 0u);
 }
 
@@ -235,7 +231,7 @@ TEST(ObserverDigest, SocialNightCoreOverloaded)
 {
     // Past a shed cap of two queued requests per orchestrator.
     Observed run = checkCase({"Social", SystemKind::NightCore, 1.0, 2},
-                             0x2073cc6fe38a9770ull);
+                             0x53188d789f459d11ull);
     EXPECT_GT(run.result.shedRequests, 0u);
     EXPECT_GT(run.result.timedOutRequests, 0u);
 }

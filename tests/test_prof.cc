@@ -17,7 +17,6 @@
 #include "prof/profiler.hh"
 #include "runtime/worker.hh"
 #include "sim/event_queue.hh"
-#include "trace/metrics.hh"
 #include "workloads/workloads.hh"
 
 namespace {
@@ -215,15 +214,37 @@ TEST(ProfiledRuns, TopDownBucketsSumToTotalTicksPerCore)
     EXPECT_GT(run.samples, 0u);
 }
 
+/** The counts each layer of @p worker keeps itself, one per line. */
+std::string
+layerStats(WorkerServer &worker)
+{
+    std::ostringstream out;
+    for (unsigned op = 0;
+         op < static_cast<unsigned>(privlib::PrivOp::NumOps); ++op) {
+        const privlib::OpStats &stats =
+            worker.privlib().stats(static_cast<privlib::PrivOp>(op));
+        out << "privlib " << op << ' ' << stats.count << ' '
+            << stats.cycles << '\n';
+    }
+    for (unsigned core = 0; core < worker.config().machine.numCores;
+         ++core)
+        for (const uat::Vlb *vlb :
+             {&worker.uat().ivlb(core), &worker.uat().dvlb(core)})
+            out << "vlb " << core << ' ' << vlb->stats().hits << ' '
+                << vlb->stats().misses << '\n';
+    const uat::VtdStats &vtd = worker.uat().vtd().stats();
+    out << "vtd " << vtd.reads << ' ' << vtd.writes << ' '
+        << vtd.pessimistic << '\n';
+    return out.str();
+}
+
 TEST(ProfiledRuns, AttachingProfilingDoesNotPerturbTheRun)
 {
     workloads::Workload w = workloads::makeByName("Hotel");
 
-    auto runOnce = [&](bool profiled, std::string &metrics_csv) {
+    auto runOnce = [&](bool profiled, std::string &layers) {
         WorkerConfig cfg;
         WorkerServer worker(cfg, w.registry);
-        trace::MetricsRegistry registry;
-        worker.attachMetrics(registry);
         std::optional<Pmu> pmu;
         std::optional<Profiler> profiler;
         if (profiled) {
@@ -235,17 +256,15 @@ TEST(ProfiledRuns, AttachingProfilingDoesNotPerturbTheRun)
             worker.setProfiler(&*profiler);
         }
         RunResult res = worker.run(2.0, 4000, w.mix);
-        std::ostringstream out;
-        registry.writeCsv(out);
-        metrics_csv = out.str();
+        layers = layerStats(worker);
         return res;
     };
 
-    std::string plain_metrics, profiled_metrics;
-    RunResult plain = runOnce(false, plain_metrics);
-    RunResult profiled = runOnce(true, profiled_metrics);
+    std::string plain_layers, profiled_layers;
+    RunResult plain = runOnce(false, plain_layers);
+    RunResult profiled = runOnce(true, profiled_layers);
 
-    EXPECT_EQ(plain_metrics, profiled_metrics);
+    EXPECT_EQ(plain_layers, profiled_layers);
     EXPECT_DOUBLE_EQ(plain.achievedMrps, profiled.achievedMrps);
     EXPECT_DOUBLE_EQ(plain.latencyUs.p50(), profiled.latencyUs.p50());
     EXPECT_DOUBLE_EQ(plain.latencyUs.p99(), profiled.latencyUs.p99());

@@ -5,6 +5,8 @@
  *
  *  - jordsim --prof-out / --pmu-out produce the advertised files,
  *    byte-identical across same-seed runs, and --prof-hz validates;
+ *  - jordsim --json writes a flat summary in every mode but --sweep,
+ *    and a single run's summary holds each layer's own counts;
  *  - trace_report and jordlint exit non-zero on empty and truncated
  *    trace files;
  *  - jordprof diff exits zero on identical inputs and non-zero on a
@@ -19,12 +21,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
+#include "prof/profile_json.hh"
+#include "runtime/worker.hh"
 #include "tests/tmp_path.hh"
 #include "trace/export.hh"
 #include "trace/trace.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -257,18 +263,19 @@ TEST(JordprofDiff, RejectsEmptyAndMalformedInputs)
 
 TEST(JordsimCluster, MetricsOutIsPerServerNamespacedAndDeterministic)
 {
-    std::string a = tmpPath("cluster_a.csv"), b = tmpPath("cluster_b.csv");
+    std::string a = tmpPath("cluster_a.json"),
+                b = tmpPath("cluster_b.json");
     std::string run = kJordsim +
                       " --cluster 2 --lb jsq --traffic diurnal"
                       " --mrps 1.5 --duration-ms 4 --requests 2000"
-                      " --csv --metrics-out ";
+                      " --csv --json ";
     ASSERT_EQ(runCmd(run + shellQuote(a)), 0);
     ASSERT_EQ(runCmd(run + shellQuote(b)), 0);
-    std::string csv = slurp(a);
-    EXPECT_NE(csv.find("cluster.server0.completed"), std::string::npos);
-    EXPECT_NE(csv.find("cluster.server1.completed"), std::string::npos);
-    EXPECT_NE(csv.find("cluster.goodput_mrps"), std::string::npos);
-    EXPECT_EQ(csv, slurp(b));
+    std::string json = slurp(a);
+    EXPECT_NE(json.find("cluster.server0.completed"), std::string::npos);
+    EXPECT_NE(json.find("cluster.server1.completed"), std::string::npos);
+    EXPECT_NE(json.find("cluster.goodput_mrps"), std::string::npos);
+    EXPECT_EQ(json, slurp(b));
     // Fleet mode owns the run: trace capture is a per-worker feature.
     EXPECT_NE(runCmd(kJordsim + " --cluster 2 --trace-out " +
                      shellQuote(tmpPath("cluster.trace"))),
@@ -344,25 +351,21 @@ TEST(JordsimCluster, FleetOnlyFlagsAreRejectedInWorkerMode)
 
 TEST(JordsimModes, JsonIsRejectedWhereNoModeWritesIt)
 {
-    // Only --cluster and --seed-sweep write --json; a single run and a
-    // load sweep reject it instead of exiting 0 with no file.
-    const char *modes[] = {"", "--sweep 0.5:1.0:2"};
-    for (const char *mode : modes) {
-        std::string json = tmpPath("json_rejected.json");
-        std::remove(json.c_str());
-        std::string out;
-        EXPECT_NE(runCapture(kJordsim +
-                                 " --workload Hotel --requests 300 " +
-                                 mode + " --json " + shellQuote(json),
-                             out),
-                  0)
-            << mode;
-        EXPECT_NE(out.find("does not support --json"), std::string::npos)
-            << out;
-        EXPECT_FALSE(std::filesystem::exists(json)) << mode;
-    }
-    // The two modes the help names do write it.
-    const char *writers[] = {"--seed-sweep 1..2",
+    // A load sweep rejects --json instead of exiting 0 with no file.
+    std::string rejected = tmpPath("json_rejected.json");
+    std::remove(rejected.c_str());
+    std::string out;
+    EXPECT_NE(runCapture(kJordsim +
+                             " --workload Hotel --requests 300"
+                             " --sweep 0.5:1.0:2 --json " +
+                             shellQuote(rejected),
+                         out),
+              0);
+    EXPECT_NE(out.find("does not support --json"), std::string::npos)
+        << out;
+    EXPECT_FALSE(std::filesystem::exists(rejected));
+    // The three modes the help names do write it.
+    const char *writers[] = {"", "--seed-sweep 1..2",
                              "--cluster 2 --duration-ms 2"};
     for (const char *mode : writers) {
         std::string json = tmpPath("json_written.json");
@@ -373,14 +376,95 @@ TEST(JordsimModes, JsonIsRejectedWhereNoModeWritesIt)
             << mode;
         EXPECT_EQ(slurp(json).rfind("{", 0), 0u) << mode;
     }
-    // --help names both of them on the --json line.
+    // --help names all three on the --json line.
     std::string help;
     ASSERT_EQ(runCapture(kJordsim + " --help", help), 0);
     std::size_t at = help.find("--json FILE");
     ASSERT_NE(at, std::string::npos);
     std::string line = help.substr(at, help.find("--trace-out", at) - at);
+    EXPECT_NE(line.find("single run"), std::string::npos) << line;
     EXPECT_NE(line.find("--cluster"), std::string::npos) << line;
     EXPECT_NE(line.find("--seed-sweep"), std::string::npos) << line;
+}
+
+TEST(JordsimModes, SingleRunJsonReadsEachLayerFromItsOwner)
+{
+    std::string path = tmpPath("single_run.json");
+    ASSERT_EQ(runCmd(kJordsim +
+                     " --workload Hotel --mrps 1.0 --requests 2000"
+                     " --check --csv --json " +
+                     shellQuote(path)),
+              0);
+    std::map<std::string, double> json;
+    ASSERT_TRUE(jord::prof::parseFlatJson(slurp(path), json));
+    EXPECT_EQ(runCmd(kJordprof + " report " + shellQuote(path)), 0);
+
+    // The same run in process, without JordSan (a pure observer); each
+    // layer's count is its change across run().
+    using jord::privlib::PrivOp;
+    jord::workloads::Workload w = jord::workloads::makeHotel();
+    jord::runtime::WorkerServer worker(jord::runtime::WorkerConfig{},
+                                       w.registry);
+    auto vlbTotals = [&] {
+        std::pair<std::uint64_t, std::uint64_t> hits_misses{0, 0};
+        for (unsigned core = 0;
+             core < worker.config().machine.numCores; ++core)
+            for (const jord::uat::Vlb *vlb :
+                 {&worker.uat().ivlb(core), &worker.uat().dvlb(core)}) {
+                hits_misses.first += vlb->stats().hits;
+                hits_misses.second += vlb->stats().misses;
+            }
+        return hits_misses;
+    };
+    const jord::privlib::OpStats pmove0 =
+        worker.privlib().stats(PrivOp::Pmove);
+    auto vlb0 = vlbTotals();
+    std::uint64_t pessimistic0 = worker.uat().vtd().stats().pessimistic;
+    jord::runtime::RunResult res = worker.run(1.0, 2000, w.mix);
+    const jord::privlib::OpStats &pmove =
+        worker.privlib().stats(PrivOp::Pmove);
+    auto vlb = vlbTotals();
+
+    auto expectKey = [&](const char *key, std::uint64_t value) {
+        ASSERT_EQ(json.count(key), 1u) << key;
+        EXPECT_EQ(json.at(key), static_cast<double>(value)) << key;
+    };
+    expectKey("completed", res.completedRequests);
+    expectKey("invocations", res.invocations);
+    expectKey("privlib.pmove.calls", pmove.count - pmove0.count);
+    expectKey("privlib.pmove.cycles", pmove.cycles - pmove0.cycles);
+    expectKey("uat.vlb.hits", vlb.first - vlb0.first);
+    expectKey("uat.vlb.misses", vlb.second - vlb0.second);
+    expectKey("uat.vtd.shootdowns", res.shootdownNs.count());
+    expectKey("uat.vtd.shootdowns_pessimistic",
+              worker.uat().vtd().stats().pessimistic - pessimistic0);
+    for (const char *family : {"access", "vlb", "difftable"})
+        expectKey((std::string("check.violations.") + family).c_str(),
+                  0);
+    EXPECT_GT(json.at("privlib.pmove.calls"), 0.0);
+    EXPECT_NEAR(json.at("p99_us"), res.latencyUs.p99(),
+                1e-9 * res.latencyUs.p99());
+}
+
+TEST(JordsimModes, SweepRejectsBadRangesBeforeRunning)
+{
+    // The knee rule reads the loads in ascending order, so a reversed,
+    // empty or non-positive range is a one-line error at parse time.
+    const char *specs[] = {"9:0.5:4", "0.5:1:0", "0:1:3", "-1:1:3"};
+    for (const char *spec : specs) {
+        std::string out;
+        EXPECT_NE(runCapture(kJordsim +
+                                 " --workload Hotel --requests 300"
+                                 " --sweep " +
+                                 spec,
+                             out),
+                  0)
+            << spec;
+        EXPECT_NE(out.find("--sweep expects LO:HI:N with 0 < LO <= HI "
+                           "and N >= 1"),
+                  std::string::npos)
+            << out;
+    }
 }
 
 // --- detlint static analyzer ------------------------------------------------

@@ -1,24 +1,21 @@
 /**
  * @file
  * Tests for the src/trace subsystem: span recording and parentage
- * across a nested ccall chain, the metrics registry's find-or-create
- * and kind-collision semantics, golden determinism of the Chrome
- * trace export, and round-tripping the exported JSON through the
- * breakdown analyzer.
+ * across a nested ccall chain, golden determinism of the Chrome trace
+ * export, and the breakdown analyzer reading back from the exported
+ * JSON the per-function accounting the run itself kept.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "runtime/worker.hh"
 #include "tests/tmp_path.hh"
 #include "trace/breakdown.hh"
 #include "trace/export.hh"
 #include "trace/integrity.hh"
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -29,6 +26,7 @@ using runtime::EntryMix;
 using runtime::FunctionId;
 using runtime::FunctionRegistry;
 using runtime::FunctionSpec;
+using runtime::RunResult;
 using runtime::SystemKind;
 using runtime::WorkerConfig;
 using runtime::WorkerServer;
@@ -59,15 +57,16 @@ struct Chain {
 };
 
 /** Run @p requests externally-arriving root invocations, traced. */
-void
+RunResult
 runChain(const Chain &chain, trace::Tracer &tracer,
          std::uint64_t requests = 60)
 {
     WorkerConfig cfg;
     WorkerServer worker(cfg, chain.reg);
     worker.setTracer(&tracer);
-    worker.run(0.05, requests, {{chain.root, 1.0}});
+    RunResult res = worker.run(0.05, requests, {{chain.root, 1.0}});
     worker.setTracer(nullptr);
+    return res;
 }
 
 // --- Tracer primitives ------------------------------------------------------
@@ -115,57 +114,6 @@ TEST(Tracer, ClockAndCategoryNames)
         trace::categoryFromName(categoryName(trace::Category::Exec), cat));
     EXPECT_EQ(cat, trace::Category::Exec);
     EXPECT_FALSE(trace::categoryFromName("nonsense", cat));
-}
-
-// --- Metrics registry -------------------------------------------------------
-
-TEST(TraceMetrics, FindOrCreateIsIdempotent)
-{
-    trace::MetricsRegistry registry;
-    trace::Counter &a = registry.counter("worker.requests");
-    a.add(3);
-    trace::Counter &b = registry.counter("worker.requests");
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(b.value(), 3u);
-    EXPECT_TRUE(registry.contains("worker.requests"));
-    EXPECT_EQ(registry.size(), 1u);
-}
-
-TEST(TraceMetrics, NameCollisionAcrossKindsThrows)
-{
-    trace::MetricsRegistry registry;
-    registry.counter("shared.name");
-    EXPECT_THROW(registry.gauge("shared.name"), std::logic_error);
-    EXPECT_THROW(registry.distribution("shared.name"), std::logic_error);
-    registry.gauge("other.name");
-    EXPECT_THROW(registry.counter("other.name"), std::logic_error);
-}
-
-TEST(TraceMetrics, GaugeIsSimulatedTimeWeighted)
-{
-    trace::Gauge gauge;
-    gauge.set(0, 0);
-    gauge.set(4, 100); // level 0 held for 100 ticks
-    gauge.set(0, 200); // level 4 held for 100 ticks
-    EXPECT_DOUBLE_EQ(gauge.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(gauge.max(), 4.0);
-    EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
-}
-
-TEST(TraceMetrics, CsvIsDeterministicAndSorted)
-{
-    trace::MetricsRegistry registry;
-    registry.counter("b.count").add(2);
-    registry.distribution("c.lat").record(10);
-    registry.gauge("a.depth").set(1, 5);
-    std::ostringstream first, second;
-    registry.writeCsv(first);
-    registry.writeCsv(second);
-    EXPECT_EQ(first.str(), second.str());
-    // Sorted by name: a.depth before b.count before c.lat.
-    std::string csv = first.str();
-    EXPECT_LT(csv.find("a.depth"), csv.find("b.count"));
-    EXPECT_LT(csv.find("b.count"), csv.find("c.lat"));
 }
 
 // --- Worker integration: nested ccall chain ---------------------------------
@@ -301,31 +249,40 @@ TEST(TraceIntegrity, CompleteButEmptyTraceIsAcceptedTruncationIsNot)
 
 TEST(TraceBreakdown, ExportRoundTripMatchesLiveAnalysis)
 {
+    // The breakdown read back from an exported trace is the run's own
+    // per-function accounting (the run aborts and retries nothing).
     Chain chain;
     trace::Tracer tracer;
-    runChain(chain, tracer);
-
-    trace::BreakdownReport live = trace::analyzeSpans(tracer);
+    RunResult res = runChain(chain, tracer);
     std::istringstream in(trace::chromeTraceJson(tracer));
     trace::BreakdownReport parsed = trace::analyzeChromeTrace(in);
 
-    ASSERT_EQ(live.rows.size(), 3u);
-    ASSERT_EQ(parsed.rows.size(), live.rows.size());
-    for (std::size_t i = 0; i < live.rows.size(); ++i) {
-        const trace::BreakdownRow &a = live.rows[i];
-        const trace::BreakdownRow &b = parsed.rows[i];
-        EXPECT_EQ(a.fn, b.fn);
-        EXPECT_EQ(a.invocations, b.invocations);
-        EXPECT_NEAR(a.serviceUs, b.serviceUs, 1e-3);
-        EXPECT_NEAR(a.execUs, b.execUs, 1e-3);
-        EXPECT_NEAR(a.isolationUs, b.isolationUs, 1e-3);
-        EXPECT_NEAR(a.queueUs, b.queueUs, 1e-3);
+    ASSERT_EQ(parsed.rows.size(), 3u);
+    const double ghz = WorkerConfig{}.machine.freqGhz;
+    for (const trace::BreakdownRow &row : parsed.rows) {
+        auto fn = static_cast<FunctionId>(row.fnId);
+        ASSERT_LT(fn, res.perFunctionCount.size()) << row.fn;
+        ASSERT_EQ(row.invocations, res.perFunctionCount[fn]) << row.fn;
+        const runtime::Breakdown &bd = res.perFunctionBreakdown[fn];
+        auto us = [&](sim::Cycles cycles) {
+            return sim::cyclesToUs(cycles, ghz) /
+                   static_cast<double>(row.invocations);
+        };
+        EXPECT_NEAR(row.serviceUs, res.perFunctionServiceUs[fn].mean(),
+                    1e-3)
+            << row.fn;
+        EXPECT_NEAR(row.execUs, us(bd.exec), 1e-3) << row.fn;
+        EXPECT_NEAR(row.isolationUs, us(bd.isolation), 1e-3) << row.fn;
+        EXPECT_NEAR(row.dispatchUs, us(bd.dispatch), 1e-3) << row.fn;
+        EXPECT_NEAR(row.commUs, us(bd.comm), 1e-3) << row.fn;
+        EXPECT_NEAR(row.pipeUs, us(bd.pipe), 1e-3) << row.fn;
+        EXPECT_NEAR(row.queueUs, us(bd.queue), 1e-3) << row.fn;
     }
-    const trace::BreakdownRow *leaf = live.row("leaf");
+    const trace::BreakdownRow *leaf = parsed.row("leaf");
     ASSERT_NE(leaf, nullptr);
     EXPECT_EQ(leaf->fnId, static_cast<std::int32_t>(chain.leaf));
     EXPECT_GT(leaf->execUs, 0.0);
-    EXPECT_FALSE(trace::renderBreakdown(live).empty());
+    EXPECT_FALSE(trace::renderBreakdown(parsed).empty());
 }
 
 } // namespace

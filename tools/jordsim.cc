@@ -10,6 +10,7 @@
  *     jordsim --workload Hotel --sweep 0.5:9:12   # load sweep + SLO knee
  *     jordsim --workload Hotel --fault-plan "crash=0.01" \
  *             --timeout-us 500 --max-retries 2 --shed-cap 256
+ *     jordsim --workload Media --json run.json   # flat run summary
  *
  * Run `jordsim --help` for the full flag reference.
  */
@@ -23,18 +24,19 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hh"
 #include "cluster/cluster.hh"
 #include "fault/fault.hh"
 #include "par/par.hh"
+#include "privlib/privlib.hh"
 #include "prof/pmu.hh"
 #include "prof/profile_json.hh"
 #include "prof/profiler.hh"
 #include "sim/logging.hh"
 #include "trace/export.hh"
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 #include "workloads/sweep.hh"
 #include "workloads/workloads.hh"
@@ -91,7 +93,6 @@ struct Options {
     unsigned jobs = 1;
     std::string jsonOut;
     std::string traceOut;
-    std::string metricsOut;
     std::string profOut;
     std::string pmuOut;
     double profHz = 0;
@@ -122,8 +123,9 @@ printUsage()
         "            (default 1.0)\n"
         "  --requests N        external requests to generate"
         "   (default 20000)\n"
-        "  --sweep LO:HI:N     sweep N loads in [LO, HI] and report\n"
-        "                      the SLO knee instead of a single run\n"
+        "  --sweep LO:HI:N     sweep N >= 1 loads in [LO, HI], with\n"
+        "                      0 < LO <= HI, and report the SLO knee\n"
+        "                      instead of a single run\n"
         "  --seed-sweep A..B   run once per seed in [A, B] and emit a\n"
         "                      merged per-seed report (CSV with --csv,\n"
         "                      flat JSON with --json)\n"
@@ -137,8 +139,8 @@ printUsage()
         "                      fleet-wide offered load. In this mode\n"
         "                      --shed-cap is the per-server\n"
         "                      outstanding cap (admission control)\n"
-        "                      and --metrics-out writes per-server\n"
-        "                      cluster.server<k>.* metrics\n"
+        "                      and --json adds per-server\n"
+        "                      cluster.server<k>.* keys\n"
         "  --lb POLICY         random | random2 | jsq | rr | affinity\n"
         "                      (default random2)\n"
         "  --traffic SHAPE     constant | diurnal | flash | mix, with\n"
@@ -223,11 +225,15 @@ printUsage()
         "\n"
         "output:\n"
         "  --csv               machine-readable output\n"
-        "  --json FILE         write a flat JSON summary (--cluster\n"
-        "                      and --seed-sweep modes only)\n"
+        "  --json FILE         write the run's flat JSON summary for\n"
+        "                      jordprof (a single run, --cluster or\n"
+        "                      --seed-sweep; --sweep rejects it). A\n"
+        "                      single run's summary holds its\n"
+        "                      results, per-op PrivLib calls and\n"
+        "                      cycles, VLB and VTD counts and, with\n"
+        "                      --check, JordSan's violations\n"
         "  --trace-out FILE    write a Chrome trace-event / Perfetto\n"
         "                      JSON trace of the run\n"
-        "  --metrics-out FILE  write the metrics registry as CSV\n"
         "\n"
         "Value-taking flags also accept the --flag=value form.\n");
 }
@@ -283,8 +289,6 @@ parseArgs(int argc, char **argv)
             opt.seed = std::strtoull(value().c_str(), nullptr, 10);
         else if (flag == "--trace-out")
             opt.traceOut = value();
-        else if (flag == "--metrics-out")
-            opt.metricsOut = value();
         else if (flag == "--prof-out")
             opt.profOut = value();
         else if (flag == "--pmu-out")
@@ -328,9 +332,13 @@ parseArgs(int argc, char **argv)
                 std::strtoul(value().c_str(), nullptr, 10)));
         else if (flag == "--sweep") {
             std::string spec = value();
+            // The knee rule reads the loads in ascending order.
             if (std::sscanf(spec.c_str(), "%lf:%lf:%u", &opt.sweepLo,
-                            &opt.sweepHi, &opt.sweepN) != 3)
-                sim::fatal("--sweep expects LO:HI:N, got '%s'",
+                            &opt.sweepHi, &opt.sweepN) != 3 ||
+                !(opt.sweepLo > 0) || opt.sweepHi < opt.sweepLo ||
+                opt.sweepN == 0)
+                sim::fatal("--sweep expects LO:HI:N with 0 < LO <= HI "
+                           "and N >= 1, got '%s'",
                            spec.c_str());
             opt.sweep = true;
         } else if (flag == "--cluster")
@@ -400,18 +408,95 @@ makeWorkerConfig(const Options &opt)
     return cfg;
 }
 
+/** Whole-run counts of the worker's layers, read from their owners:
+ * PrivLib's per-op stats, every core's I- and D-VLB, and the VTD. */
+std::map<std::string, double>
+layerCounts(WorkerServer &worker)
+{
+    auto count = [](std::uint64_t n) { return static_cast<double>(n); };
+    std::map<std::string, double> out;
+    for (unsigned i = 0;
+         i < static_cast<unsigned>(privlib::PrivOp::NumOps); ++i) {
+        auto op = static_cast<privlib::PrivOp>(i);
+        const privlib::OpStats &stats = worker.privlib().stats(op);
+        std::string base = std::string("privlib.") + privlib::privOpName(op);
+        out[base + ".calls"] = count(stats.count);
+        out[base + ".cycles"] = count(stats.cycles);
+    }
+    std::uint64_t hits = 0, misses = 0;
+    for (unsigned core = 0; core < worker.config().machine.numCores;
+         ++core)
+        for (const uat::Vlb *vlb :
+             {&worker.uat().ivlb(core), &worker.uat().dvlb(core)}) {
+            hits += vlb->stats().hits;
+            misses += vlb->stats().misses;
+        }
+    out["uat.vlb.hits"] = count(hits);
+    out["uat.vlb.misses"] = count(misses);
+    out["uat.vtd.shootdowns_pessimistic"] =
+        count(worker.uat().vtd().stats().pessimistic);
+    return out;
+}
+
+/**
+ * The flat summary of one worker run (--json, and the start of
+ * --prof-out's BASE.json): @p res over the measured window, then the
+ * layer counts over the whole run as the change from @p before, read
+ * by layerCounts() ahead of run(), and JordSan's violations.
+ */
+std::map<std::string, double>
+runSummary(const RunResult &res, WorkerServer &worker,
+           const std::map<std::string, double> &before)
+{
+    auto count = [](std::uint64_t n) { return static_cast<double>(n); };
+    std::map<std::string, double> out = layerCounts(worker);
+    for (auto &[key, value] : out)
+        value -= before.at(key);
+    // A shootdown is a fan-out with a completion latency.
+    out["uat.vtd.shootdowns"] = count(res.shootdownNs.count());
+
+    out["offered_mrps"] = res.offeredMrps;
+    out["achieved_mrps"] = res.achievedMrps;
+    out["mean_us"] = res.latencyUs.mean();
+    out["p50_us"] = res.latencyUs.p50();
+    out["p99_us"] = res.latencyUs.p99();
+    out["completed"] = count(res.completedRequests);
+    out["failed"] = count(res.failedRequests);
+    out["timed_out"] = count(res.timedOutRequests);
+    out["shed"] = count(res.shedRequests);
+    out["invocations"] = count(res.invocations);
+    out["retries"] = count(res.retries);
+    out["aborted_invocations"] = count(res.abortedInvocations);
+    out["faults_injected"] = count(res.faultsInjected);
+    out["utilization"] = res.executorUtilization;
+    out["service_mean_us"] = res.serviceUs.mean();
+    out["service_p99_us"] = res.serviceUs.p99();
+    out["dispatch_mean_ns"] = res.dispatchNs.mean();
+    out["dispatch_p99_ns"] = res.dispatchNs.p99();
+    out["shootdown_mean_ns"] = res.shootdownNs.mean();
+    out["shootdown_p99_ns"] = res.shootdownNs.p99();
+
+    if (const check::Checker *checker = worker.checker()) {
+        using check::CheckFamily;
+        static constexpr std::pair<const char *, CheckFamily>
+            kFamilies[] = {{"access", CheckFamily::Access},
+                           {"vlb", CheckFamily::Vlb},
+                           {"difftable", CheckFamily::Difftable}};
+        for (const auto &[name, family] : kFamilies)
+            out[std::string("check.violations.") + name] =
+                count(checker->violations(family));
+    }
+    return out;
+}
+
 int
 runOnce(const Options &opt)
 {
-    if (!opt.jsonOut.empty())
-        sim::fatal("a single run does not support --json (only "
-                   "--cluster and --seed-sweep write it)");
     workloads::Workload w = workloads::makeByName(opt.workload);
     WorkerConfig cfg = makeWorkerConfig(opt);
     WorkerServer worker(cfg, w.registry);
 
     trace::Tracer tracer(cfg.machine.freqGhz);
-    trace::MetricsRegistry registry;
     if (!opt.traceOut.empty()) {
         worker.setTracer(&tracer);
         char mrps[32];
@@ -422,8 +507,6 @@ runOnce(const Options &opt)
                        std::to_string(cfg.machine.numCores) + "c/" +
                            std::to_string(cfg.machine.numSockets) + "s");
     }
-    if (!opt.metricsOut.empty())
-        worker.attachMetrics(registry);
 
     // Profiling: the PMU attaches whenever a profile output was
     // requested, the sampling profiler only for --prof-out.  An
@@ -456,7 +539,10 @@ runOnce(const Options &opt)
         }
     }
 
+    std::map<std::string, double> before = layerCounts(worker);
     RunResult res = worker.run(opt.mrps, opt.requests, w.mix);
+    std::map<std::string, double> summary =
+        runSummary(res, worker, before);
 
     auto openOut = [](const std::string &path) {
         std::ofstream out(path);
@@ -477,17 +563,13 @@ runOnce(const Options &opt)
             auto out = openOut(opt.profOut + ".topdown.csv");
             pmu->writeTopDownCsv(out);
         }
-        std::map<std::string, double> summary;
-        summary["achieved_mrps"] = res.achievedMrps;
-        summary["mean_us"] = res.latencyUs.mean();
-        summary["p50_us"] = res.latencyUs.p50();
-        summary["p99_us"] = res.latencyUs.p99();
-        summary["samples"] = static_cast<double>(profiler->samples());
-        summary["total_ticks"] =
+        std::map<std::string, double> profile = summary;
+        profile["samples"] = static_cast<double>(profiler->samples());
+        profile["total_ticks"] =
             static_cast<double>(pmu->totalTicks());
         for (unsigned c = 0; c < prof::Pmu::kNumCounters; ++c) {
             auto counter = static_cast<prof::PmuCounter>(c);
-            summary[std::string("counter.") +
+            profile[std::string("counter.") +
                     prof::pmuCounterName(counter)] =
                 static_cast<double>(pmu->totalCounter(counter));
         }
@@ -496,12 +578,12 @@ runOnce(const Options &opt)
             std::uint64_t total = 0;
             for (unsigned core = 0; core < pmu->numCores(); ++core)
                 total += pmu->bucket(core, bucket);
-            summary[std::string("topdown.") +
+            profile[std::string("topdown.") +
                     prof::pmuBucketName(bucket)] =
                 static_cast<double>(total);
         }
         auto out = openOut(opt.profOut + ".json");
-        prof::writeFlatJson(out, summary);
+        prof::writeFlatJson(out, profile);
         std::fprintf(stderr,
                      "wrote %llu profile samples to %s.{folded,"
                      "timeseries.csv,topdown.csv,json}\n",
@@ -524,13 +606,11 @@ runOnce(const Options &opt)
         std::fprintf(stderr, "wrote %zu spans to %s\n",
                      tracer.numSpans(), opt.traceOut.c_str());
     }
-    if (!opt.metricsOut.empty()) {
-        std::ofstream out(opt.metricsOut);
-        if (!out)
-            sim::fatal("cannot open '%s'", opt.metricsOut.c_str());
-        registry.writeCsv(out);
-        std::fprintf(stderr, "wrote %zu metrics to %s\n",
-                     registry.size(), opt.metricsOut.c_str());
+    if (!opt.jsonOut.empty()) {
+        auto out = openOut(opt.jsonOut);
+        prof::writeFlatJson(out, summary);
+        std::fprintf(stderr, "wrote %zu summary keys to %s\n",
+                     summary.size(), opt.jsonOut.c_str());
     }
 
     int rc = 0;
@@ -639,29 +719,11 @@ runCluster(const Options &opt, par::ThreadPool *pool)
         w, cfg.worker, cfg.calibration, pool);
     cluster::ClusterResult res = cluster::ClusterSim(cfg, model).run();
 
-    if (!opt.metricsOut.empty()) {
-        trace::MetricsRegistry registry;
-        cluster::attachClusterMetrics(res, registry);
-        std::ofstream out(opt.metricsOut);
-        if (!out)
-            sim::fatal("cannot open '%s'", opt.metricsOut.c_str());
-        registry.writeCsv(out);
-        std::fprintf(stderr, "wrote %zu metrics to %s\n",
-                     registry.size(), opt.metricsOut.c_str());
-    }
     if (!opt.jsonOut.empty()) {
-        std::map<std::string, double> json;
-        json["cluster.offered_mrps"] = res.offeredMrps;
-        json["cluster.achieved_mrps"] = res.achievedMrps;
-        json["cluster.goodput_mrps"] = res.goodputMrps;
-        json["cluster.p99_us"] = res.p99Us;
-        json["cluster.cost_server_s"] = res.costServerSeconds;
-        json["cluster.shed"] = static_cast<double>(res.shed);
-        json["cluster.slo_burn"] = res.sloBurn;
         std::ofstream out(opt.jsonOut);
         if (!out)
             sim::fatal("cannot open '%s'", opt.jsonOut.c_str());
-        prof::writeFlatJson(out, json);
+        prof::writeFlatJson(out, cluster::summaryJson(res));
     }
 
     if (opt.csv) {
@@ -726,8 +788,8 @@ int
 runSweep(const Options &opt, par::ThreadPool *pool)
 {
     if (!opt.jsonOut.empty())
-        sim::fatal("--sweep does not support --json (only --cluster "
-                   "and --seed-sweep write it)");
+        sim::fatal("--sweep does not support --json (a single run, "
+                   "--cluster and --seed-sweep write it)");
     workloads::Workload w = workloads::makeByName(opt.workload);
     workloads::SweepConfig cfg;
     cfg.worker = makeWorkerConfig(opt);
@@ -763,10 +825,10 @@ runSeedSweep(const Options &opt, par::ThreadPool *pool)
 {
     // Seed-sweep runs are plain measurement runs: per-run observers
     // would need per-seed output files, so reject them up front.
-    if (!opt.traceOut.empty() || !opt.metricsOut.empty() ||
-        !opt.profOut.empty() || !opt.pmuOut.empty())
+    if (!opt.traceOut.empty() || !opt.profOut.empty() ||
+        !opt.pmuOut.empty())
         sim::fatal("--seed-sweep does not support --trace-out, "
-                   "--metrics-out, --prof-out or --pmu-out");
+                   "--prof-out or --pmu-out");
     if (opt.check.any())
         sim::fatal("--seed-sweep does not support --check");
 

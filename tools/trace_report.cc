@@ -10,6 +10,11 @@
  *     jordsim --workload Hotel --trace-out trace.json
  *     trace_report trace.json
  *
+ * On a run that aborts and retries nothing the table is the run's own
+ * per-function accounting (RunResult). In a faulty run it is not: the
+ * trace counts aborted attempts as invocations and sums the attempts
+ * of a retried request under its one request id.
+ *
  * Flags:
  *   --csv   machine-readable output instead of the table
  */
